@@ -2,16 +2,12 @@
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.mshr import MSHREntry, MSHRFile
-from repro.cache.replacement import FIFOPolicy, LRUPolicy, ReplacementPolicy
 from repro.cache.sram_cache import CacheLine, SRAMCache
 
 __all__ = [
     "CacheHierarchy",
     "CacheLine",
-    "FIFOPolicy",
-    "LRUPolicy",
     "MSHREntry",
     "MSHRFile",
-    "ReplacementPolicy",
     "SRAMCache",
 ]

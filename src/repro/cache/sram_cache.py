@@ -8,13 +8,10 @@ burst address it was filled from so dirty evictions can be routed to the
 right DRAM device.
 
 Every core memory op probes up to three levels, so this is the hottest
-data structure in the simulator.  Replacement order is therefore folded
-into the (insertion-ordered) set dicts themselves instead of a parallel
-policy structure: the first key of a set dict is the victim; an LRU
-touch re-inserts the line at the back, a FIFO touch does nothing.  This
-produces bit-identical victim choices to the previous
-``ReplacementPolicy`` objects (which tracked exactly the same order in a
-separate ``OrderedDict``) at half the bookkeeping.
+data structure in the simulator.  LRU order is therefore folded into
+the (insertion-ordered) set dicts themselves instead of a parallel
+policy structure: the first key of a set dict is the victim, and a
+touch re-inserts the line at the back.
 """
 
 from __future__ import annotations
@@ -39,18 +36,15 @@ class CacheLine:
 class SRAMCache:
     """One cache level; sets are insertion-ordered dicts (front = victim)."""
 
-    def __init__(self, cfg: CacheConfig, policy: str = "lru"):
+    def __init__(self, cfg: CacheConfig):
         self.cfg = cfg
         self.num_sets = cfg.num_sets
         if self.num_sets <= 0:
             raise ValueError(f"{cfg.name}: zero sets (size too small for ways)")
-        if policy not in ("lru", "fifo"):
-            raise ValueError(f"unknown replacement policy {policy!r}")
         self.ways = cfg.ways
         self._sets: List[Dict[Hashable, CacheLine]] = [
             dict() for _ in range(self.num_sets)
         ]
-        self._reorder_on_touch = policy == "lru"
         self.hits = 0
         self.misses = 0
 
@@ -64,9 +58,8 @@ class SRAMCache:
         if line is None:
             self.misses += 1
             return False
-        if self._reorder_on_touch:
-            del cache_set[key]
-            cache_set[key] = line
+        del cache_set[key]
+        cache_set[key] = line
         if is_write:
             line.dirty = True
         self.hits += 1
@@ -85,9 +78,8 @@ class SRAMCache:
         if line is not None:
             line.dirty = line.dirty or dirty
             line.paddr = paddr
-            if self._reorder_on_touch:
-                del cache_set[key]
-                cache_set[key] = line
+            del cache_set[key]
+            cache_set[key] = line
             return None
         victim: Optional[CacheLine] = None
         if len(cache_set) >= self.ways:

@@ -50,7 +50,7 @@ class _RealFS:
     """The filesystem calls :func:`atomic_write_json` depends on.
 
     A single seam for the chaos layer: swap in a faulty implementation
-    with :func:`install_fs` and every store/journal/manifest write in
+    with :func:`install_fs` and every store and journal write in
     the process goes through it.  ``path`` on :meth:`write` is the
     *destination* path (the tmp file is anonymous), so fault plans can
     target "store records" vs "service metadata" precisely.

@@ -110,6 +110,10 @@ class FrontEnd(Component):
         self.assume_all_dirty = assume_all_dirty
 
         self._daemon_running = False
+        #: Frames taken off the free queue by a fill whose tags are not
+        #: committed yet (the CPD is still invalid); the guard's frame
+        #: accounting counts them as in use.
+        self.filling_frames = 0
         self._frame_waiters: List[Callable[[], None]] = []
         self._tlbs = None
         self._evict_remaining = 0
@@ -162,6 +166,7 @@ class FrontEnd(Component):
                 self._trigger_daemon(force=True)
                 return
             cfn = self.free_queue.allocate(self.cpds)
+            self.filling_frames += 1
             self.data_manager.fill(
                 cfn,
                 pte.page_frame_num,
@@ -178,6 +183,7 @@ class FrontEnd(Component):
 
         def _offloaded(cfn: int) -> None:
             self._commit_tags(core_id, vpn, pte, cfn)
+            self.filling_frames -= 1
             self._tag_latency.add(self.sim.now - t0)
             self._fills.inc()
             if self.mutex is not None:

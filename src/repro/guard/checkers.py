@@ -215,10 +215,13 @@ def check_frames(frontend) -> List[str]:
     fq = frontend.free_queue
     cpds = frontend.cpds
     valid = cpds.valid_count()
-    if fq.num_free != fq.num_frames - valid:
+    # A frame handed to a fill stays invalid until its tags commit.
+    in_use = valid + frontend.filling_frames
+    if fq.num_free != fq.num_frames - in_use:
         problems.append(
             f"free queue says {fq.num_free} free of {fq.num_frames} but "
-            f"{valid} CPDs are valid (expected {fq.num_frames - valid} free)"
+            f"{valid} CPDs are valid and {frontend.filling_frames} frames "
+            f"are filling (expected {fq.num_frames - in_use} free)"
         )
     if not 0 <= fq.num_free <= fq.num_frames:
         problems.append(

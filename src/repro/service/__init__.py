@@ -17,10 +17,9 @@ host's process pool, with zero new dependencies (stdlib ``http.server``,
 * :func:`~repro.service.coordinator.run_distributed_campaign` -- the
   queue-backed executor path behind ``repro sweep --distributed``,
   resumable via the store (``--resume``);
-* :mod:`~repro.service.dashboard` -- a self-contained live HTML page
-  (``repro serve-dashboard`` or the broker's ``/dashboard``);
-* :mod:`~repro.service.journal` -- append-only, fsynced log of batch
-  state transitions; a restarted broker replays it and resumes
+* :mod:`~repro.service.journal` -- append-only, fsynced log of each
+  campaign's manifest and batch state transitions, the broker's only
+  durable campaign record; a restarted broker replays it and resumes
   mid-campaign with no coordinator prescan;
 * :mod:`~repro.service.chaos` -- seeded fault injection (network,
   HTTP, disk, process) proving convergence under every schedule

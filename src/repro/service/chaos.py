@@ -31,7 +31,7 @@ Fault sites
     (:func:`repro.campaign.store.install_fs`): **ENOSPC** (write
     raises), **torn write** (only a prefix reaches disk), **bit flip**
     (one bit corrupted in flight).  Categories: ``store`` (result and
-    quarantine records) and ``meta`` (journal, manifests).
+    quarantine records) and ``meta`` (the journal).
 
 ``process``
     Fired by the harness supervisor on observed progress:
@@ -286,8 +286,8 @@ class FaultyFS:
     """A :func:`repro.campaign.store.install_fs` shim that injects disk
     faults on a :class:`FaultPlan`'s schedule.
 
-    Writes under ``<root>/service/`` are category ``meta`` (journal,
-    manifests); everything else is ``store`` (result + quarantine
+    Writes under ``<root>/service/`` are category ``meta`` (the
+    journal); everything else is ``store`` (result + quarantine
     records).  ENOSPC raises from ``write`` (the atomic-write path
     cleans up its temp file and the caller sees ``OSError``); torn
     writes persist only the first half of the payload; bit flips
@@ -333,7 +333,7 @@ class FaultyFS:
 
 @contextmanager
 def faulty_fs(plan: FaultPlan):
-    """Route every store/journal/manifest write through a
+    """Route every store and journal write through a
     :class:`FaultyFS` for the duration of the block."""
     fs = FaultyFS(plan)
     prev = install_fs(fs)

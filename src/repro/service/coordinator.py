@@ -3,8 +3,8 @@
 The coordinator is ``run_campaign``'s distributed twin, built from the
 same campaign primitives:
 
-1. expand the grid (or, for ``--resume``, reload the persisted
-   manifest), :func:`~repro.campaign.executor.prescan` against the
+1. expand the grid (or, for ``--resume``, reload the manifest the
+   broker journaled), :func:`~repro.campaign.executor.prescan` against the
    shared :class:`ResultStore` -- quarantined and already-stored
    configs resolve locally and are **not** re-enqueued, which is what
    makes campaigns resumable across broker and runner restarts;
@@ -104,7 +104,7 @@ def run_distributed_campaign(
     expected fleet-wide worker-slot count -- it only tunes batch
     chunking, not any local parallelism.  With ``resume=True`` the grid
     may be ``None``; the config list is reloaded from the campaign's
-    persisted manifest.  ``client`` overrides the default
+    journaled manifest.  ``client`` overrides the default
     :class:`BrokerClient` (the chaos harness injects fault-wired ones).
 
     An unreachable broker fails fast (one probe, no retry storm) before

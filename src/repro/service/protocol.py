@@ -14,8 +14,8 @@ Endpoints (all relative to the broker base URL):
 ``/heartbeat``            POST   runner liveness + telemetry (renews leases)
 ``/status``               GET    campaigns/runners progress snapshot
 ``/records``              GET    a campaign's records (coordinator merge)
-``/campaign``             GET    a campaign's persisted manifest (resume)
-``/dashboard``            GET    the self-contained live dashboard page
+``/campaign``             GET    a campaign's manifest from the journal
+``/metrics``              GET    Prometheus text exposition
 ========================  =====  =========================================
 
 Every request and response body carries ``{"protocol": 1}``; both sides

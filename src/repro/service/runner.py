@@ -303,12 +303,6 @@ def runner_loop(
                     finally:
                         stop_renewal.set()
                         renewal.join(timeout=10)
-                    for item in items:
-                        overlap = (item.get("telemetry") or {}).get(
-                            "overlap_fraction"
-                        )
-                        if overlap is not None:
-                            hb.observe_overlap(overlap)
                     # Even when stop was requested mid-batch (SIGTERM
                     # drain), the finished batch is reported before the
                     # loop exits -- the work is never thrown away.

@@ -3,22 +3,19 @@
 PR 4 gave pool campaigns live ``done``/``heartbeat`` progress events;
 the service layer needs the same signal to travel: a runner forwards
 each event to the broker as a small JSON payload that carries rolling
-throughput, the amortization-cache counters, and the recent
-overlap-fraction samples the dashboard trends.  This module is the one
-place that payload shape is defined, so the stderr progress printer,
-the runner transport, and the dashboard stay in agreement.
+throughput and the amortization-cache counters, which the broker shows
+per runner on ``/status`` and re-exports on ``/metrics``.  This module
+is the one place that payload shape is defined.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 #: Completion timestamps kept for the rolling throughput window.
 THROUGHPUT_WINDOW = 64
-#: Overlap samples carried per heartbeat.
-OVERLAP_WINDOW = 32
 
 
 class HeartbeatStats:
@@ -29,16 +26,12 @@ class HeartbeatStats:
         self._completions: Deque[Tuple[float, int]] = deque(
             maxlen=THROUGHPUT_WINDOW
         )
-        self._overlaps: Deque[float] = deque(maxlen=OVERLAP_WINDOW)
         self.runs_observed = 0
 
     def observe(self, completed: int) -> None:
         """Record a progress event's cumulative completion count."""
         self._completions.append((self._clock(), int(completed)))
         self.runs_observed = max(self.runs_observed, int(completed))
-
-    def observe_overlap(self, overlap_fraction: float) -> None:
-        self._overlaps.append(float(overlap_fraction))
 
     def runs_per_sec(self) -> float:
         """Throughput over the retained completion window."""
@@ -48,9 +41,6 @@ class HeartbeatStats:
         if t1 <= t0 or c1 <= c0:
             return 0.0
         return (c1 - c0) / (t1 - t0)
-
-    def recent_overlaps(self) -> List[float]:
-        return list(self._overlaps)
 
 
 def make_heartbeat(
@@ -78,9 +68,6 @@ def make_heartbeat(
     }
     if stats is not None:
         payload["runs_per_sec"] = round(stats.runs_per_sec(), 4)
-        payload["overlap_recent"] = [
-            round(v, 4) for v in stats.recent_overlaps()
-        ]
     if obs_counters:
         payload["obs"] = {k: round(float(v), 4)
                           for k, v in obs_counters.items()}

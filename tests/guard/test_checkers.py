@@ -10,7 +10,7 @@ from repro.guard.checkers import (
     check_frames,
     check_rob,
 )
-from repro.harness.runner import RunConfig, _build
+from repro.harness.runner import RunConfig, _build, simulate
 
 
 def _machine(scheme="nomad"):
@@ -53,6 +53,17 @@ def test_frame_checker_catches_counter_drift():
     frontend.free_queue.num_free -= 1
     problems = check_frames(frontend)
     assert problems and "free queue" in problems[0]
+
+
+def test_frame_checker_counts_frames_mid_fill():
+    # A frame handed to a tag-miss fill stays invalid until its tags
+    # commit; a sweep landing in that window (the 61st check here,
+    # before the fix) must not read it as a leaked frame.
+    guard = Guard(GuardConfig(check_interval=3, write_bundle=False))
+    simulate(RunConfig(scheme="nomad", workload="mcf", num_mem_ops=1500,
+                       num_cores=2, dc_megabytes=16, seed=2), guard=guard)
+    assert guard.violations == 0
+    assert guard.checks_run > 2000
 
 
 def test_bank_checker_catches_closed_row_with_timing():

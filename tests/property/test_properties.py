@@ -3,11 +3,12 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.mshr import MSHRFile
-from repro.cache.replacement import FIFOPolicy, LRUPolicy
+from repro.cache.sram_cache import SRAMCache
 from repro.common.bitvector import BitVector
 from repro.core.free_queue import FreeQueue
 from repro.dram.address_map import AddressMap
 from repro.config.dram import DDR4_3200, HBM2
+from repro.config.system import CacheConfig
 from repro.vm.descriptors import CPDArray
 
 
@@ -42,35 +43,24 @@ def test_bitvector_set_clear_roundtrip(bits):
     assert not bv.any_set
 
 
-# -- Replacement policies ----------------------------------------------------
+# -- SRAM cache replacement ----------------------------------------------------
 
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=60))
 def test_lru_victim_is_least_recent(refs):
-    """Model check against an explicit recency list."""
-    policy = LRUPolicy()
+    """Model check of SRAMCache's LRU order against an explicit
+    recency list: one full set, then a fill must evict the LRU line."""
+    ways = len(set(refs))
+    cache = SRAMCache(CacheConfig("set", size_bytes=64 * ways, ways=ways,
+                                  latency=1, mshrs=1))
     recency = []
     for key in refs:
         if key in recency:
-            policy.touch(key)
+            assert cache.lookup(key)
             recency.remove(key)
-            recency.append(key)
         else:
-            policy.insert(key)
-            recency.append(key)
-    assert policy.evict() == recency[0]
-
-
-@given(st.lists(st.integers(0, 9), min_size=1, max_size=60))
-def test_fifo_victim_is_oldest_insert(refs):
-    policy = FIFOPolicy()
-    order = []
-    for key in refs:
-        if key in order:
-            policy.touch(key)
-        else:
-            policy.insert(key)
-            order.append(key)
-    assert policy.evict() == order[0]
+            assert cache.insert(key, paddr=0) is None
+        recency.append(key)
+    assert cache.insert("new", paddr=0).key == recency[0]
 
 
 # -- MSHR file -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Broker HTTP auth (``X-Repro-Token``) and CORS scoping."""
+"""Broker HTTP auth (``X-Repro-Token``)."""
 
 import json
 import urllib.error
@@ -41,7 +41,7 @@ def test_mutating_endpoints_require_token(tmp_path):
         resp = _post(server.url, "/enqueue", payload,
                      headers={"X-Repro-Token": "sesame"})
         assert resp.status == 200
-        # Read-only endpoints stay open (the dashboard poll).
+        # Read-only endpoints stay open.
         with urllib.request.urlopen(server.url + "/status",
                                     timeout=10) as resp:
             assert "campaigns" in json.loads(resp.read())
@@ -67,17 +67,3 @@ def test_token_defaults_from_environment(tmp_path, monkeypatch):
         assert BrokerClient(server.url).enqueue(
             "c1", [], {}
         )["accepted"] == 0
-
-
-def test_cors_restricted_to_status(tmp_path):
-    broker = Broker(tmp_path / "store")
-    with BrokerServer(broker) as server:
-        with urllib.request.urlopen(server.url + "/status",
-                                    timeout=10) as resp:
-            assert resp.headers.get("Access-Control-Allow-Origin") == "*"
-        with urllib.request.urlopen(server.url + "/dashboard",
-                                    timeout=10) as resp:
-            assert resp.headers.get("Access-Control-Allow-Origin") is None
-        resp = _post(server.url, "/heartbeat",
-                     {"runner_id": "r1", "stats": {}})
-        assert resp.headers.get("Access-Control-Allow-Origin") is None

@@ -2,6 +2,7 @@
 exposition whose counters move with traffic and never go backwards --
 without any observability configuration (metrics are always on)."""
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -10,7 +11,7 @@ import pytest
 
 from repro.harness.runner import RunConfig
 from repro.obs.metrics import CONTENT_TYPE, counter_samples, parse_exposition
-from repro.service.broker import Broker, BrokerServer
+from repro.service.broker import Broker, BrokerServer, _BrokerHandler
 from repro.service.protocol import batch_id_for
 
 CFG = RunConfig(scheme="baseline", workload="sop", num_mem_ops=300,
@@ -53,6 +54,59 @@ def test_metrics_scrape_parses_and_counts_itself(server):
            frozenset({("endpoint", "/metrics"), ("code", "200")}))
     # The second scrape has observed the first (and possibly itself).
     assert second[key] >= first.get(key, 0) + 1
+
+
+class _SpyWriter:
+    """Wraps a handler's socket writer; runs ``on_write`` before every
+    write, i.e. while the reply is still on its way to the client."""
+
+    def __init__(self, inner, on_write):
+        self._inner = inner
+        self._on_write = on_write
+
+    def write(self, data):
+        self._on_write()
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_request_is_counted_before_its_reply_is_written(server, monkeypatch):
+    # A client may read a reply and scrape /metrics at once; that
+    # request must already be in the count when any byte of its reply
+    # goes out.
+    counter = server.broker.m_requests
+    seen = []
+    setup = _BrokerHandler.setup
+
+    def spying_setup(handler):
+        setup(handler)
+        handler.wfile = _SpyWriter(handler.wfile, lambda: seen.append(
+            counter.value(endpoint="/status", code="200")
+        ))
+
+    monkeypatch.setattr(_BrokerHandler, "setup", spying_setup)
+    for n in (1, 2, 3):
+        seen.clear()
+        urllib.request.urlopen(f"{server.url}/status", timeout=10).read()
+        assert seen and set(seen) == {n}
+
+
+def test_handler_that_raises_counts_once_as_a_500(server, monkeypatch):
+    def broken_render():
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(server.broker.metrics, "render", broken_render)
+    with pytest.raises((OSError, http.client.HTTPException)):
+        urllib.request.urlopen(f"{server.url}/metrics", timeout=10).read()
+    counter = server.broker.m_requests
+    assert counter.value(endpoint="/metrics", code="500") == 1
+    assert counter.value(endpoint="/metrics", code="200") == 0
+    # A request that replies is counted once, under its reply's code.
+    urllib.request.urlopen(f"{server.url}/status", timeout=10).read()
+    assert counter.value(endpoint="/status", code="200") == 1
+    assert counter.value(endpoint="/status", code="500") == 0
 
 
 def test_counters_are_monotone_across_traffic(server):
