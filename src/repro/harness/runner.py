@@ -163,7 +163,7 @@ def cache_stats() -> Dict[str, Dict]:
 
 # The amortization-cache counters that travel between processes: pool
 # workers and service runners report *deltas* of these so a campaign
-# summary (or a broker dashboard) can aggregate hit rates fleet-wide.
+# summary (or the broker's /status) can aggregate hit rates fleet-wide.
 CACHE_COUNT_KEYS = {
     "snapshot": ("hits", "misses", "stores", "evictions"),
     "trace": ("hits", "misses", "disk_hits", "disk_writes", "evictions"),
