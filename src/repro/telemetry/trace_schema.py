@@ -2,7 +2,7 @@
 
 ``validate_trace`` returns a list of problems (empty = valid).  Used by
 ``repro timeline`` before summarizing, by the telemetry tests, and by
-the CI telemetry-smoke job -- the schema documented in
+the CI sim-smoke job -- the schema documented in
 :mod:`repro.telemetry.tracer` is a published contract, so drift must
 fail loudly rather than silently producing Perfetto-unloadable JSON.
 
