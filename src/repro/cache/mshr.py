@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.common.inline_state import InlineState
+
 
 class MSHREntry:
     """One outstanding miss and its merged waiters.
@@ -36,7 +38,7 @@ class MSHREntry:
         self.waiters.append(callback)
 
 
-class MSHRFile:
+class MSHRFile(InlineState):
     """A bounded set of MSHR entries with merge and overflow queueing.
 
     ``lookup``/``allocate`` implement the classic flow; when all entries

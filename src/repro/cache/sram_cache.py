@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional
 
+from repro.common.inline_state import InlineState
 from repro.config.system import CacheConfig
 
 
@@ -33,7 +34,7 @@ class CacheLine:
         return f"CacheLine(key={self.key!r}, paddr={self.paddr:#x}, dirty={self.dirty})"
 
 
-class SRAMCache:
+class SRAMCache(InlineState):
     """One cache level; sets are insertion-ordered dicts (front = victim)."""
 
     def __init__(self, cfg: CacheConfig):

@@ -97,7 +97,7 @@ class CampaignSummary:
     memo: Dict[str, int] = field(default_factory=dict)
     store: Dict[str, object] = field(default_factory=dict)
     # Machine-snapshot and trace-cache counters: the in-process view
-    # plus, for pool campaigns, the summed per-batch worker deltas.
+    # plus, for pool campaigns, the summed per-task worker deltas.
     snapshot: Dict[str, int] = field(default_factory=dict)
     trace: Dict[str, object] = field(default_factory=dict)
 
@@ -268,11 +268,14 @@ def _simulate_payload(payload: dict) -> dict:
     machine-snapshot key: running them sequentially in one worker means
     the first run builds+snapshots and the rest fork from this process's
     snapshot cache.  Per-item exceptions come back as ``__failure__``
-    entries so one bad config cannot poison its batch siblings, and the
-    worker reports its amortization-cache counter deltas alongside.
-    An ``__amortize__`` key (e.g. ``{"trace_dir": ...}``) points this
-    worker at the shared on-disk trace cache; it is idempotent, so every
-    payload of a campaign carries it.
+    entries so one bad config cannot poison its batch siblings.  A
+    single payload never snapshots its build: :func:`_plan_batches`
+    gives every config whose key another pending config shares a batch.
+    Either way the worker reports its amortization-cache counter deltas
+    under ``__cache_stats__``.  An ``__amortize__`` key (e.g.
+    ``{"trace_dir": ...}``) points this worker at the shared on-disk
+    trace cache; it is idempotent, so every payload of a campaign
+    carries it.
     """
     payload = dict(payload)
     amortize = payload.pop("__amortize__", None)
@@ -281,22 +284,25 @@ def _simulate_payload(payload: dict) -> dict:
 
         configure_trace_cache(disk_dir=amortize["trace_dir"])
     batch = payload.pop("__batch__", None)
+    before = _cache_counts()
     if batch is not None:
-        before = _cache_counts()
         results = []
-        for item in batch:
+        for k, item in enumerate(batch):
             try:
-                results.append(_simulate_one(dict(item)))
+                # Only a build a later sibling can fork is worth a dump.
+                results.append(_simulate_one(
+                    dict(item), prime_snapshots=k < len(batch) - 1
+                ))
             except Exception as exc:
                 results.append({"__failure__": _failure_info(exc)})
-        return {
-            "__batch__": results,
-            "__cache_stats__": _cache_delta(before, _cache_counts()),
-        }
-    return _simulate_one(payload)
+        out = {"__batch__": results}
+    else:
+        out = _simulate_one(payload, prime_snapshots=False)
+    out["__cache_stats__"] = _cache_delta(before, _cache_counts())
+    return out
 
 
-def _simulate_one(payload: dict) -> dict:
+def _simulate_one(payload: dict, prime_snapshots: bool) -> dict:
     guard_dict = payload.pop("__guard__", None)
     tel_dict = payload.pop("__telemetry__", None)
     cfg = RunConfig.from_dict(payload)
@@ -314,7 +320,9 @@ def _simulate_one(payload: dict) -> dict:
         return out
 
     if guard_dict is None:
-        return _out(runner.run_workload(cfg, telemetry=tel_obj))
+        return _out(runner.run_workload(
+            cfg, telemetry=tel_obj, prime_snapshots=prime_snapshots
+        ))
 
     from repro.guard import GuardConfig
 
@@ -387,20 +395,10 @@ def _record_pool_failure(index: int, cfg: RunConfig, outcome, store,
     return _failed_record(index, cfg, FAILED, info, attempts)
 
 
-def _plan_batches(pending: List[int], configs: Sequence[RunConfig],
-                  jobs: int, batching: bool) -> List[List[int]]:
-    """Partition pending grid indices into worker tasks.
-
-    Runs sharing a machine-snapshot key are grouped (the first run of a
-    group builds+snapshots in its worker, the rest fork), but each group
-    is chunked so a sweep with few distinct keys still spreads across
-    all ``jobs`` workers.  Ineligible configs stay singleton tasks.
-    Groups are submitted in grid order of their first member, and
-    records are merged by index, so batching never perturbs output
-    order.
-    """
-    if not batching:
-        return [[i] for i in pending]
+def _by_snapshot_key(pending: List[int], configs: Sequence[RunConfig]
+                     ) -> Tuple[Dict[str, List[int]], List[int]]:
+    """Pending grid indices of snapshot-eligible configs grouped by
+    snapshot key (members in pending order), plus the ineligible rest."""
     from repro.snapshot import snapshot_eligible, snapshot_key
 
     by_key: Dict[str, List[int]] = {}
@@ -411,13 +409,36 @@ def _plan_batches(pending: List[int], configs: Sequence[RunConfig],
             by_key.setdefault(snapshot_key(cfg), []).append(i)
         else:
             singles.append(i)
+    return by_key, singles
+
+
+def _plan_batches(pending: List[int], configs: Sequence[RunConfig],
+                  jobs: int, batching: bool) -> List[List[int]]:
+    """Partition pending grid indices into worker tasks.
+
+    Runs sharing a machine-snapshot key are grouped (the first run of a
+    group builds+snapshots in its worker, the rest fork), but each group
+    is chunked so a sweep with few distinct keys still spreads across
+    all ``jobs`` workers.  Chunks hold at least two runs, so a config
+    whose key no other pending config shares is exactly a singleton
+    task, and a worker (or a service runner, which plans its batch the
+    same way) snapshots a build only when a later run of its task can
+    fork it.  Ineligible configs stay singleton tasks.  Groups are
+    submitted in grid order of their first member, and records are
+    merged by index, so batching never perturbs output order.
+    """
+    if not batching:
+        return [[i] for i in pending]
+    by_key, singles = _by_snapshot_key(pending, configs)
     # ceil(pending/jobs): with this chunk bound even a single-key sweep
     # produces >= jobs tasks.
     max_chunk = max(2, -(-len(pending) // max(1, jobs)))
     groups: List[List[int]] = []
     for members in by_key.values():
-        for off in range(0, len(members), max_chunk):
-            groups.append(members[off:off + max_chunk])
+        n = len(members)
+        chunks = max(1, min(-(-n // max_chunk), n // 2))
+        for c in range(chunks):
+            groups.append(members[c * n // chunks:(c + 1) * n // chunks])
     groups.extend([i] for i in singles)
     groups.sort(key=lambda g: g[0])
     return groups
@@ -603,6 +624,11 @@ def run_campaign(
         )
 
         if jobs <= 1 or len(pending) <= 1:
+            # Snapshot a fresh build only when a later pending config
+            # shares its key and can fork it instead of rebuilding.
+            by_key, _singles = _by_snapshot_key(pending, configs)
+            forked_later = {i for members in by_key.values()
+                            for i in members[:-1]}
             for serial_done, i in enumerate(pending):
                 cfg = configs[i]
                 if guard_cfg is not None:
@@ -612,7 +638,10 @@ def run_campaign(
                 else:
                     tel_obj = _fresh_telemetry(tel_cfg)
                     try:
-                        result = runner.run_workload(cfg, telemetry=tel_obj)
+                        result = runner.run_workload(
+                            cfg, telemetry=tel_obj,
+                            prime_snapshots=i in forked_later,
+                        )
                         records[i] = RunRecord(
                             i, cfg, COMPLETED, result,
                             source="simulated", attempts=1,
@@ -725,6 +754,7 @@ def run_campaign(
                     )
                     continue
                 value = outcome.value
+                _merge_counts(pool_caches, value.pop("__cache_stats__", None))
                 if isinstance(value, dict) and "__failure__" in value:
                     confirm.append((i, value["__failure__"], outcome.attempts))
                     continue
@@ -755,6 +785,9 @@ def run_campaign(
                         )
                         continue
                     value2 = outcome2.value
+                    _merge_counts(
+                        pool_caches, value2.pop("__cache_stats__", None)
+                    )
                     if isinstance(value2, dict) and "__failure__" in value2:
                         second = value2["__failure__"]
                         if _same_failure(first, second):

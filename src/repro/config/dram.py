@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.common.inline_state import InlineState
+
 
 @dataclass(frozen=True)
-class DRAMTimingConfig:
+class DRAMTimingConfig(InlineState):
     """Timing and geometry of one DRAM device (all channels identical)."""
 
     name: str

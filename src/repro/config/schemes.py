@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass, fields
 
+from repro.common.inline_state import InlineState
+
 
 class BackendTopology(enum.Enum):
     """Fig. 8: one back-end for the whole DC, or one per HBM channel."""
@@ -18,7 +20,7 @@ class BackendTopology(enum.Enum):
     DISTRIBUTED = "distributed"
 
 
-class ConfigSerializable:
+class ConfigSerializable(InlineState):
     """Stable dict round-trip for the frozen config dataclasses.
 
     ``to_dict`` output is JSON-compatible (enums become their values) and

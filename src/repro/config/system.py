@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.common.inline_state import InlineState
 from repro.config.dram import DDR4_3200, DRAMTimingConfig, HBM2, scaled_dram
 
 
 @dataclass(frozen=True)
-class CoreConfig:
+class CoreConfig(InlineState):
     """Out-of-order core model parameters."""
 
     freq_ghz: float = 3.6
@@ -31,7 +32,7 @@ class CoreConfig:
 
 
 @dataclass(frozen=True)
-class CacheConfig:
+class CacheConfig(InlineState):
     """One SRAM cache level."""
 
     name: str
@@ -47,7 +48,7 @@ class CacheConfig:
 
 
 @dataclass(frozen=True)
-class TLBConfig:
+class TLBConfig(InlineState):
     """Two-level data TLB."""
 
     l1_entries: int = 64
@@ -57,7 +58,7 @@ class TLBConfig:
 
 
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(InlineState):
     """The complete simulated machine."""
 
     num_cores: int = 8

@@ -39,6 +39,8 @@ from repro.core.pcshr import CommandType, PCSHR
 from repro.dram.device import DRAMDevice
 from repro.engine.simulator import Component, Simulator
 
+_PAGE_SUBS = range(SUB_BLOCKS_PER_PAGE)
+
 
 class Backend(Component, DataManager):
     """One back-end: interface + PCSHR file + page copy buffers."""
@@ -171,13 +173,11 @@ class Backend(Component, DataManager):
     def _launch(self, pcshr: PCSHR) -> None:
         """Issue all read transfers; fix the buffer-arrival schedule."""
         order = pcshr.transfer_order(self.cfg.critical_data_first)
-        arrivals = [0] * SUB_BLOCKS_PER_PAGE
         if pcshr.cmd_type == CommandType.CACHE_FILL:
             src, base, tc = self.ddr, pcshr.pfn * PAGE_SIZE, TrafficClass.FILL
         else:
             src, base, tc = self.hbm, pcshr.cfn * PAGE_SIZE, TrafficClass.WRITEBACK
-        for sub in order:
-            arrivals[sub] = src.access(base + sub * 64, False, tc)
+        arrivals = src.transfer(base, order, False, tc)
         pcshr.launch(self.sim.now, arrivals)
         if self._tel is not None:
             self._tel.copy_instant(
@@ -203,9 +203,7 @@ class Backend(Component, DataManager):
             dst, base, tc = self.hbm, pcshr.cfn * PAGE_SIZE, TrafficClass.FILL
         else:
             dst, base, tc = self.ddr, pcshr.pfn * PAGE_SIZE, TrafficClass.WRITEBACK
-        write_times = [0] * SUB_BLOCKS_PER_PAGE
-        for sub in range(SUB_BLOCKS_PER_PAGE):
-            write_times[sub] = dst.access(base + sub * 64, True, tc)
+        write_times = dst.transfer(base, _PAGE_SUBS, True, tc)
         pcshr.write_times = write_times
         pcshr.free_at = max(write_times)
         self.sim.schedule_at(pcshr.free_at, lambda p=pcshr: self._complete(p))

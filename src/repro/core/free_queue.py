@@ -10,10 +10,11 @@ coverage is far below DC capacity.
 
 from __future__ import annotations
 
+from repro.common.inline_state import InlineState
 from repro.vm.descriptors import CPDArray
 
 
-class FreeQueue:
+class FreeQueue(InlineState):
     """Head/tail pointers over the CFN space, with a free-frame count."""
 
     def __init__(self, num_frames: int):

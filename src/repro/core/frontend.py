@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from repro.common.inline_state import InlineState
 from repro.common.types import DC_SPACE_BIT, TrafficClass, sub_block_of
 from repro.config.system import SystemConfig
 from repro.core.free_queue import FreeQueue
@@ -38,7 +39,7 @@ from repro.vm.page_table import PTE
 TLB_SHOOTDOWN_COST = 4000
 
 
-class DataManager:
+class DataManager(InlineState):
     """What the front-end offloads data movement to.
 
     ``fill``/``writeback`` take two callbacks:

@@ -12,10 +12,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
+from repro.common.inline_state import InlineState
 from repro.engine.simulator import Simulator
 
 
-class PageCopyBufferPool:
+class PageCopyBufferPool(InlineState):
     """FIFO pool of page copy buffers."""
 
     def __init__(self, sim: Simulator, count: int):

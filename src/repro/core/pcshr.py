@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.common.bitvector import BitVector
+from repro.common.inline_state import InlineState
 from repro.common.types import SUB_BLOCKS_PER_PAGE
 
 
@@ -49,7 +50,7 @@ class SubEntry:
     access_id: int
 
 
-class PCSHR:
+class PCSHR(InlineState):
     """One page-copy register; state is owned by the back-end."""
 
     def __init__(self, index: int, num_sub_entries: int = 4):

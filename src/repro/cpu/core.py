@@ -119,13 +119,14 @@ class Core(Component):
     )
 
     def __getstate__(self) -> dict:
+        # Pickling reads the instance dict anyway (see InlineState).
         state = dict(self.__dict__)
         for name in self._TRANSIENT:
             state.pop(name, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        super().__setstate__(state)
         self.trace = None
         self._next_op = None
         self._bind_fastpaths()

@@ -3,10 +3,11 @@
 The model is a first-order bank/bus occupancy simulator in the spirit of
 DRAMsim3's role in the paper: it reproduces row-buffer hit/miss/conflict
 latencies, per-channel data-bus bandwidth limits, and bank-level
-parallelism, with one event per 64-byte burst.  Command-level details
-(refresh, tFAW, write-to-read turnarounds) are abstracted into the
-first-order timings; the effects the paper measures -- bandwidth
-saturation, row-buffer hit rates, queueing delay -- are preserved.
+parallelism, computing each 64-byte burst's service time at issue.
+Command-level details (refresh, tFAW, write-to-read turnarounds) are
+abstracted into the first-order timings; the effects the paper measures
+-- bandwidth saturation, row-buffer hit rates, queueing delay -- are
+preserved.
 """
 
 from repro.dram.address_map import AddressMap

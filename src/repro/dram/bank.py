@@ -1,4 +1,4 @@
-"""Per-bank row-buffer state machine."""
+"""Per-bank row-buffer state."""
 
 from __future__ import annotations
 
@@ -6,11 +6,13 @@ from typing import Optional
 
 
 class Bank:
-    """One DRAM bank: an open row and the time it can accept a command.
+    """One DRAM bank: its open row, the cycle it can take the next column
+    command, and when its open row was activated (for tRAS).
 
-    ``access`` classifies the reference (hit / closed / conflict), applies
-    the activation/precharge penalty, and returns the cycle at which the
-    column data transfer may begin, leaving the row open (open-page
+    :meth:`DRAMDevice.transfer <repro.dram.device.DRAMDevice.transfer>`
+    runs the state machine: a reference to the open row is a hit, one to
+    a bank with no open row pays tRCD, and one to another row waits for
+    tRAS, then pays tRP + tRCD; the row stays open afterwards (open-page
     policy).
     """
 
@@ -20,33 +22,3 @@ class Bank:
         self.open_row: Optional[int] = None
         self.ready_at = 0
         self.activated_at = 0
-
-    def access(self, row: int, now: int, timing) -> tuple:
-        """Returns ``(data_ready_time, outcome)``.
-
-        ``outcome`` is one of ``"hit"``, ``"closed"``, ``"conflict"``.
-        ``data_ready_time`` is when the burst can start on the data bus
-        (bank-side constraint only; the controller also arbitrates the
-        shared bus).
-        """
-        start = max(now, self.ready_at)
-        if self.open_row == row:
-            outcome = "hit"
-            column = start
-        elif self.open_row is None:
-            outcome = "closed"
-            column = start + timing.trcd  # activate at `start`
-            self.activated_at = start
-        else:
-            outcome = "conflict"
-            # Respect tRAS before precharging the currently open row.
-            precharge = max(start, self.activated_at + timing.tras)
-            activate = precharge + timing.trp
-            column = activate + timing.trcd
-            self.activated_at = activate
-        self.open_row = row
-        # Back-to-back column commands to an open row pipeline at the
-        # burst rate (tCCD ~= tburst); tCAS is pure latency.
-        self.ready_at = column + timing.tburst
-        data_ready = column + timing.tcas
-        return data_ready, outcome

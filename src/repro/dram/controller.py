@@ -1,55 +1,37 @@
-"""One memory controller per DRAM channel.
+"""One memory controller per DRAM channel: its banks, its data bus, and
+its statistics.
 
 The controller combines the bank-side ready time with the shared data
 bus: a burst occupies the bus for ``tburst`` cycles, so a saturated
 channel naturally queues requests and per-request latency grows -- the
 effect behind the paper's Excess/Tight/Loose/Few RMHB classes.
 
-Requests complete with a single scheduled event; service times are
-computed at enqueue (first-come-first-served with open-page row-buffer
-state).  FR-FCFS reordering is approximated: sequential streams (page
-copies, line fills) arrive in row order and therefore still enjoy the
-row-buffer hits an FR-FCFS scheduler would create.
-
-``enqueue`` is the single hottest method of a run (one call per 64 B
-burst), so it inlines the :class:`~repro.dram.bank.Bank` row-buffer
-state machine and accumulates statistics in plain int attributes that
-are flushed into the :class:`StatGroup` only when it is read (see
-:meth:`StatGroup.set_sync`).  ``Bank.access`` remains the reference
-implementation of the state machine; keep the two in sync.
+Service times are computed at issue (first-come-first-served with
+open-page row-buffer state) by :meth:`DRAMDevice.transfer
+<repro.dram.device.DRAMDevice.transfer>`, which owns the arithmetic and
+updates this object's plain int counters; they are flushed into the
+:class:`StatGroup` only when it is read (see :meth:`StatGroup.set_sync`).
+FR-FCFS reordering is approximated: sequential streams (page copies,
+line fills) arrive in row order and therefore still enjoy the row-buffer
+hits an FR-FCFS scheduler would create.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.common.types import TrafficClass
 from repro.dram.bank import Bank
-from repro.dram.timing import ResolvedTiming
 from repro.engine.simulator import Component, Simulator
 
 
 class ChannelController(Component):
-    """Schedules bursts onto one channel's banks and data bus."""
+    """One channel's banks, data-bus occupancy and traffic counters."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        timing: ResolvedTiming,
-        num_banks: int,
-    ):
+    def __init__(self, sim: Simulator, name: str, num_banks: int):
         super().__init__(sim, name)
-        self.timing = timing
         self.banks = [Bank() for _ in range(num_banks)]
         self.bus_free_at = 0
-        # Timing components bound to locals of the instance; enqueue never
-        # dereferences the timing object.
-        self._trcd = timing.trcd
-        self._trp = timing.trp
-        self._tcas = timing.tcas
-        self._tburst = timing.tburst
-        self._tras = timing.tras
         # Hot-path counters (flushed lazily into self.stats).
         self.row_hits = 0
         self.row_closed = 0
@@ -85,68 +67,6 @@ class ChannelController(Component):
         lat.total = self._lat_total
         lat.min = self._lat_min
         lat.max = self._lat_max
-
-    def enqueue(
-        self,
-        bank_index: int,
-        row: int,
-        is_write: bool,
-        traffic_class: TrafficClass,
-        callback: Optional[Callable[[], None]] = None,
-    ) -> int:
-        """Schedule one 64 B burst; returns its completion time.
-
-        ``callback`` (if given) fires at completion.
-        """
-        now = self.sim.now
-        bank = self.banks[bank_index]
-
-        # Bank.access inlined (row-buffer state machine, open-page policy).
-        ready_at = bank.ready_at
-        start = now if now > ready_at else ready_at
-        open_row = bank.open_row
-        if open_row == row:
-            self.row_hits += 1
-            column = start
-        elif open_row is None:
-            self.row_closed += 1
-            column = start + self._trcd  # activate at `start`
-            bank.activated_at = start
-        else:
-            self.row_conflicts += 1
-            # Respect tRAS before precharging the currently open row.
-            precharge = bank.activated_at + self._tras
-            if start > precharge:
-                precharge = start
-            activate = precharge + self._trp
-            column = activate + self._trcd
-            bank.activated_at = activate
-        bank.open_row = row
-        bank.ready_at = column + self._tburst
-        data_ready = column + self._tcas
-
-        bus_free = self.bus_free_at
-        start = data_ready if data_ready > bus_free else bus_free
-        end = start + self._tburst
-        self.bus_free_at = end
-
-        if is_write:
-            self.writes += 1
-        else:
-            self.reads += 1
-        by_class = self.bytes_by_class
-        by_class[traffic_class] = by_class.get(traffic_class, 0) + 64
-        latency = end - now
-        self._lat_count += 1
-        self._lat_total += latency
-        if self._lat_min is None or latency < self._lat_min:
-            self._lat_min = latency
-        if self._lat_max is None or latency > self._lat_max:
-            self._lat_max = latency
-
-        if callback is not None:
-            self.sim.schedule(latency, callback)
-        return end
 
     @property
     def row_hit_rate(self) -> float:

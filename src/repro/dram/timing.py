@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.common.inline_state import InlineState
 from repro.config.dram import DRAMTimingConfig
 
 
 @dataclass(frozen=True)
-class ResolvedTiming:
+class ResolvedTiming(InlineState):
     """All DRAM timings in CPU cycles for a given core frequency.
 
     The per-outcome access latencies (row hit / closed / conflict) are

@@ -20,6 +20,8 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Optional
 
+from repro.common.inline_state import InlineState
+
 
 class Event:
     """One scheduled callback.  Cancellation is a tombstone flag."""
@@ -45,7 +47,7 @@ class Event:
             self._queue = None
 
 
-class EventQueue:
+class EventQueue(InlineState):
     """Min-heap of :class:`Event` with stable same-cycle ordering."""
 
     def __init__(self):

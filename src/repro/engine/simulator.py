@@ -5,11 +5,12 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional
 
+from repro.common.inline_state import InlineState
 from repro.common.stats import StatGroup
 from repro.engine.event_queue import Event, EventQueue
 
 
-class Simulator:
+class Simulator(InlineState):
     """Owns simulated time and the event queue.
 
     Components call :meth:`schedule` with a *delay* relative to ``now``.
@@ -176,7 +177,7 @@ class Simulator:
         return len(self._queue)
 
 
-class Component:
+class Component(InlineState):
     """Base class for simulated hardware/OS components.
 
     Provides the owning simulator, a :class:`StatGroup`, and scheduling

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
+from repro.common.inline_state import InlineState
 from repro.engine.simulator import Simulator
 
 
@@ -28,7 +29,7 @@ def _callable_label(fn: Callable) -> str:
     return type(fn).__name__
 
 
-class Mutex:
+class Mutex(InlineState):
     """FIFO mutex; ``acquire`` calls back when the lock is granted."""
 
     def __init__(self, sim: Simulator, name: str = "mutex"):

@@ -19,7 +19,9 @@ rebuilding (see :mod:`repro.snapshot`).  Forks are bit-identical to
 fresh builds -- pinned by the golden fork test -- so the cache is
 transparent to every result.  Policy mirrors the result caches: guarded
 or telemetry-observed runs may *consume* a snapshot (a fork proves as
-much as a build) but never *prime* one.
+much as a build) but never *prime* one.  A direct ``run_workload`` call
+primes every eligible fresh build; campaigns prime only the builds a
+later run of theirs will fork (see ``repro.campaign.executor``).
 """
 
 from __future__ import annotations
@@ -252,7 +254,8 @@ def prime(cfg: RunConfig, result: MachineResult) -> None:
         _STORE.put(cfg, result)
 
 
-def run_workload(cfg: RunConfig, guard=None, telemetry=None) -> MachineResult:
+def run_workload(cfg: RunConfig, guard=None, telemetry=None,
+                 prime_snapshots: bool = True) -> MachineResult:
     """Run (or fetch the cached result of) one configuration.
 
     ``guard`` (``True`` / ``GuardConfig`` / ``Guard``) opts into
@@ -265,6 +268,11 @@ def run_workload(cfg: RunConfig, guard=None, telemetry=None) -> MachineResult:
     into observability.  Telemetry runs always simulate (a cached result
     has no trace), but -- being bit-identical by construction -- their
     results are safe to prime into the caches when unguarded.
+
+    ``prime_snapshots=False`` keeps a fresh build out of the snapshot
+    cache: campaigns pass it for configs no later run of theirs can
+    fork, since a dump costs time and slows the dumped machine's run
+    (see :mod:`repro.common.inline_state`).
     """
     if guard is not None and guard is not False:
         result, _machine = simulate(cfg, guard=guard, telemetry=telemetry)
@@ -276,7 +284,7 @@ def run_workload(cfg: RunConfig, guard=None, telemetry=None) -> MachineResult:
     cached, _source = cached_result(cfg)
     if cached is not None:
         return cached
-    result = _build(cfg).run()
+    result = _build(cfg, prime_snapshots=prime_snapshots).run()
     prime(cfg, result)
     return result
 
@@ -309,7 +317,8 @@ def _build(cfg: RunConfig, prime_snapshots: bool = True):
     when a build-compatible image exists, freshly built otherwise.
 
     A fresh eligible build is snapshotted into the cache unless
-    ``prime_snapshots`` is False (guarded/observed callers).
+    ``prime_snapshots`` is False (guarded/observed callers, and campaign
+    runs no later run can fork).
     """
     if snapshot_eligible(cfg) and _SNAPSHOTS.maxsize > 0:
         key = snapshot_key(cfg)

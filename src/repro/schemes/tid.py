@@ -18,6 +18,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.mshr import MSHRFile
+from repro.common.inline_state import InlineState
 from repro.common.types import MemAccess, TrafficClass
 from repro.config.schemes import TiDConfig
 from repro.config.system import SystemConfig
@@ -25,7 +26,7 @@ from repro.engine.simulator import Simulator
 from repro.schemes.base import SchemeBase
 
 
-class TiDTagArray:
+class TiDTagArray(InlineState):
     """Set-associative tag state with way assignment and LRU."""
 
     def __init__(self, num_sets: int, ways: int):
@@ -63,8 +64,9 @@ class TiDTagArray:
             victim = (victim_id, victim_way, victim_dirty)
             way = victim_way
         else:
-            used = {rec[0] for rec in s.values()}
-            way = next(w for w in range(self.ways) if w not in used)
+            # A set only loses a way when replacement refills that same
+            # slot, so a set of n lines holds exactly ways 0..n-1.
+            way = len(s)
         s[line_id] = [way, False]
         return way, victim
 
@@ -252,10 +254,9 @@ class TiDScheme(SchemeBase):
         order = list(range(self._sub_per_line))
         order.remove(demanded_sub)
         order.insert(0, demanded_sub)
-        arrivals = [0] * self._sub_per_line
-        base = line_id * self.tid_cfg.line_size
-        for s in order:
-            arrivals[s] = self.ddr.access(base + s * 64, False, TrafficClass.FILL)
+        arrivals = self.ddr.transfer(
+            line_id * self.tid_cfg.line_size, order, False, TrafficClass.FILL
+        )
         fill.arrivals = arrivals
 
         # Wake waiters registered before arrivals were known (the MSHR
@@ -274,9 +275,10 @@ class TiDScheme(SchemeBase):
 
     def _drain_fill(self, fill: _ActiveFill) -> None:
         """All sub-blocks arrived: write the line + its tag into the DC."""
-        base = self._hbm_line_base(fill.line_id, fill.way)
-        for s in range(self._sub_per_line):
-            self.hbm.access(base + s * 64, True, TrafficClass.FILL)
+        self.hbm.transfer(
+            self._hbm_line_base(fill.line_id, fill.way),
+            range(self._sub_per_line), True, TrafficClass.FILL,
+        )
         self._touch_metadata(fill.line_id)
         # Late waiters were serviced at their arrival times already.
         for sub, waiter in fill.waiters:
@@ -295,16 +297,15 @@ class TiDScheme(SchemeBase):
     def _writeback_line(self, line_id: int, way: int) -> None:
         """Dirty victim: read 1 KB out of the DC, write it off-package."""
         self._line_writebacks.inc()
-        base = self._hbm_line_base(line_id, way)
-        arrivals = [
-            self.hbm.access(base + s * 64, False, TrafficClass.WRITEBACK)
-            for s in range(self._sub_per_line)
-        ]
+        subs = range(self._sub_per_line)
+        arrivals = self.hbm.transfer(
+            self._hbm_line_base(line_id, way), subs, False,
+            TrafficClass.WRITEBACK,
+        )
         ddr_base = line_id * self.tid_cfg.line_size
 
         def _drain() -> None:
-            for s in range(self._sub_per_line):
-                self.ddr.access(ddr_base + s * 64, True, TrafficClass.WRITEBACK)
+            self.ddr.transfer(ddr_base, subs, True, TrafficClass.WRITEBACK)
 
         self.sim.schedule_at(max(arrivals), _drain)
 

@@ -13,6 +13,7 @@ import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.common.inline_state import InlineState
 from repro.common.types import PAGE_SIZE, TrafficClass
 from repro.config.system import SystemConfig
 from repro.cpu.core import Core
@@ -75,7 +76,7 @@ class MachineResult:
         return cls(**d)
 
 
-class Machine:
+class Machine(InlineState):
     """One configured simulation: scheme + per-core traces."""
 
     def __init__(self, cfg: SystemConfig, scheme, traces, workload_name: str = "",
@@ -151,6 +152,12 @@ class Machine:
         excludes the traces (cores drop them, see ``Core.__getstate__``);
         :meth:`restore` re-materializes them from the recorded specs,
         which is what lets one snapshot serve every (seed, num_mem_ops).
+
+        Pickling reads every object's instance ``__dict__``, which on
+        CPython 3.11+ leaves *this* machine on the slow attribute path
+        for the rest of its life (its forks are not, see :meth:`restore`).
+        Campaigns therefore snapshot only builds that a later run of
+        theirs will fork (``run_workload(prime_snapshots=)``).
         """
         import pickle
 
@@ -196,7 +203,10 @@ class Machine:
         override the ROI-side knobs the snapshot is independent of; the
         traces are re-materialized accordingly (hitting the trace cache
         when warm).  The forked machine is bit-identical to a freshly
-        built one -- pinned by the golden fork test.
+        built one -- pinned by the golden fork test.  Its objects get
+        their attributes assigned one by one
+        (:class:`~repro.common.inline_state.InlineState`), never through
+        ``__dict__``, so the fork runs as fast as a fresh build.
         """
         import pickle
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.inline_state import InlineState
+
 
 @dataclass(slots=True)
 class PPD:
@@ -65,7 +67,7 @@ class CPD:
         self.tlb_directory &= ~(1 << core_id)
 
 
-class DescriptorTables:
+class DescriptorTables(InlineState):
     """The OS's frame bookkeeping: PFN allocator, PPD array, reverse map."""
 
     def __init__(self):
@@ -99,7 +101,7 @@ class DescriptorTables:
         return self._next_pfn
 
 
-class CPDArray:
+class CPDArray(InlineState):
     """The cache page descriptor array, indexed by CFN."""
 
     def __init__(self, num_frames: int):

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.common.inline_state import InlineState
+
 
 @dataclass(slots=True)
 class PTE:
@@ -45,7 +47,7 @@ class PTE:
         return self.present and not self.non_cacheable and not self.cached
 
 
-class PageTable:
+class PageTable(InlineState):
     """One core's (process's) virtual address space.
 
     Physical frames are allocated lazily on first touch from a shared

@@ -12,11 +12,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Optional
 
+from repro.common.inline_state import InlineState
 from repro.config.system import TLBConfig
 from repro.vm.page_table import PTE
 
 
-class TLB:
+class TLB(InlineState):
     """One core's L1+L2 data TLB."""
 
     def __init__(

@@ -8,11 +8,12 @@ walks so the harness can report TLB behaviour.
 
 from __future__ import annotations
 
+from repro.common.inline_state import InlineState
 from repro.config.system import TLBConfig
 from repro.vm.page_table import PageTable, PTE
 
 
-class PageWalker:
+class PageWalker(InlineState):
     """Constant-latency walker over one core's page table."""
 
     def __init__(self, core_id: int, cfg: TLBConfig, page_table: PageTable):

@@ -28,6 +28,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.common.inline_state import InlineState
 from repro.common.types import PAGE_SIZE
 
 _LINES_PER_PAGE = 64
@@ -37,7 +38,7 @@ _SCATTER_PRIME = 2654435761
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(InlineState):
     """Everything that defines a synthetic benchmark."""
 
     name: str

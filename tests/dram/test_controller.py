@@ -1,46 +1,56 @@
-"""Channel controller: bus occupancy, queueing, accounting."""
+"""Channel controller: bus occupancy, queueing, accounting.
+
+Driven through ``DRAMDevice.access`` on the single-channel DDR4 device,
+where ``_addr(bank, row)`` names one bank's row directly.
+"""
 
 import pytest
 
 from repro.common.types import TrafficClass
 from repro.config.dram import DDR4_3200
-from repro.dram.controller import ChannelController
-from repro.dram.timing import ResolvedTiming
+from repro.dram.device import DRAMDevice
 
-T = ResolvedTiming.from_config(DDR4_3200, 3.6)
+CFG = DDR4_3200
 
 
 def make(sim):
-    return ChannelController(sim, "ch0", T, num_banks=4)
+    return DRAMDevice(sim, "ddr", CFG, 3.6)
+
+
+def _addr(bank: int, row: int) -> int:
+    return (row * CFG.banks_per_channel + bank) * CFG.row_size_bytes
 
 
 def test_single_burst_latency(sim):
-    ch = make(sim)
-    end = ch.enqueue(0, 0, False, TrafficClass.DEMAND)
+    dev = make(sim)
+    T = dev.timing
+    end = dev.access(_addr(0, 0), False, TrafficClass.DEMAND)
     assert end == T.trcd + T.tcas + T.tburst
 
 
 def test_callback_fires_at_completion(sim):
-    ch = make(sim)
+    dev = make(sim)
     fired = []
-    end = ch.enqueue(0, 0, False, TrafficClass.DEMAND, callback=lambda: fired.append(sim.now))
+    end = dev.access(_addr(0, 0), False, TrafficClass.DEMAND,
+                     callback=lambda: fired.append(sim.now))
     sim.run()
     assert fired == [end]
 
 
 def test_bus_serializes_bursts(sim):
-    ch = make(sim)
+    dev = make(sim)
     # Different banks, same row number: bank-side overlaps, bus serializes.
-    e1 = ch.enqueue(0, 0, False, TrafficClass.DEMAND)
-    e2 = ch.enqueue(1, 0, False, TrafficClass.DEMAND)
-    assert e2 >= e1 + T.tburst
+    e1 = dev.access(_addr(0, 0), False, TrafficClass.DEMAND)
+    e2 = dev.access(_addr(1, 0), False, TrafficClass.DEMAND)
+    assert e2 >= e1 + dev.timing.tburst
 
 
 def test_row_hit_accounting(sim):
-    ch = make(sim)
-    ch.enqueue(0, 7, False, TrafficClass.DEMAND)
-    ch.enqueue(0, 7, False, TrafficClass.DEMAND)
-    ch.enqueue(0, 8, False, TrafficClass.DEMAND)
+    dev = make(sim)
+    dev.access(_addr(0, 7), False, TrafficClass.DEMAND)
+    dev.access(_addr(0, 7), False, TrafficClass.DEMAND)
+    dev.access(_addr(0, 8), False, TrafficClass.DEMAND)
+    ch = dev.channels[0]
     assert ch.stats.get("row_hits").value == 1
     assert ch.stats.get("row_closed").value == 1
     assert ch.stats.get("row_conflicts").value == 1
@@ -48,34 +58,36 @@ def test_row_hit_accounting(sim):
 
 
 def test_read_write_counters(sim):
-    ch = make(sim)
-    ch.enqueue(0, 0, False, TrafficClass.DEMAND)
-    ch.enqueue(0, 0, True, TrafficClass.FILL)
+    dev = make(sim)
+    dev.access(_addr(0, 0), False, TrafficClass.DEMAND)
+    dev.access(_addr(0, 0), True, TrafficClass.FILL)
+    ch = dev.channels[0]
     assert ch.stats.get("reads").value == 1
     assert ch.stats.get("writes").value == 1
 
 
 def test_bytes_by_traffic_class(sim):
-    ch = make(sim)
-    ch.enqueue(0, 0, False, TrafficClass.METADATA)
-    ch.enqueue(0, 0, False, TrafficClass.METADATA)
-    ch.enqueue(0, 0, True, TrafficClass.WRITEBACK)
-    bw = ch.stats.get("bytes")
+    dev = make(sim)
+    dev.access(_addr(0, 0), False, TrafficClass.METADATA)
+    dev.access(_addr(0, 0), False, TrafficClass.METADATA)
+    dev.access(_addr(0, 0), True, TrafficClass.WRITEBACK)
+    bw = dev.channels[0].stats.get("bytes")
     assert bw.bytes_by_class[TrafficClass.METADATA] == 128
     assert bw.bytes_by_class[TrafficClass.WRITEBACK] == 64
 
 
 def test_saturation_grows_latency(sim):
-    ch = make(sim)
-    ends = [ch.enqueue(0, 0, False, TrafficClass.DEMAND) for _ in range(100)]
-    # All enqueued at t=0: the 100th burst waits ~100 bus slots.
-    assert ends[-1] >= 100 * T.tburst
+    dev = make(sim)
+    ends = [dev.access(_addr(0, 0), False, TrafficClass.DEMAND)
+            for _ in range(100)]
+    # All issued at t=0: the 100th burst waits ~100 bus slots.
+    assert ends[-1] >= 100 * dev.timing.tburst
 
 
 def test_latency_stat_tracks_queueing(sim):
-    ch = make(sim)
+    dev = make(sim)
     for _ in range(10):
-        ch.enqueue(0, 0, False, TrafficClass.DEMAND)
-    lat = ch.stats.get("burst_latency")
+        dev.access(_addr(0, 0), False, TrafficClass.DEMAND)
+    lat = dev.channels[0].stats.get("burst_latency")
     assert lat.count == 10
     assert lat.max > lat.min

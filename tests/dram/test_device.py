@@ -1,4 +1,4 @@
-"""Whole-device behaviour: range transfers, aggregate stats."""
+"""Whole-device behaviour: multi-burst transfers, aggregate stats."""
 
 import pytest
 
@@ -18,42 +18,47 @@ def test_access_routes_to_decoded_channel(sim):
     assert dev.channels[0].stats.get("reads").value == 0
 
 
-def test_access_range_issues_one_burst_per_64b(sim):
+def test_transfer_issues_one_burst_per_sub_block(sim):
     dev = make(sim)
-    dev.access_range(0, 4096, False, TrafficClass.FILL)
+    dev.transfer(0, range(64), False, TrafficClass.FILL)
     total = sum(ch.stats.get("reads").value for ch in dev.channels)
     assert total == 64
 
 
-def test_access_range_per_burst_callbacks(sim):
+def test_transfer_reports_each_sub_block_end(sim):
+    """Critical-data-first order: ``ends[s]`` belongs to sub-block ``s``,
+    and the sub-block issued first is not the last to arrive."""
     dev = make(sim)
-    seen = []
-    dev.access_range(0, 1024, False, TrafficClass.FILL, per_burst=seen.append)
-    sim.run()
-    assert sorted(seen) == list(range(16))
+    order = [9] + [s for s in range(16) if s != 9]
+    ends = dev.transfer(0, order, False, TrafficClass.FILL)
+    assert len(ends) == 16 and all(e > 0 for e in ends)
+    assert ends[9] == min(ends)
+    assert ends[9] < max(ends)
 
 
-def test_access_range_on_complete(sim):
+def test_transfer_ends_fix_the_copy_completion(sim):
+    """A caller schedules the copy's completion at the last end."""
     dev = make(sim)
     done = []
-    last = dev.access_range(0, 512, True, TrafficClass.WRITEBACK,
-                            on_complete=lambda t: done.append((t, sim.now)))
+    ends = dev.transfer(0, range(8), True, TrafficClass.WRITEBACK)
+    last = max(ends)
+    sim.schedule_at(last, lambda: done.append(sim.now))
     sim.run()
-    assert done and done[0][0] == last
-    assert done[0][1] == last
+    assert done == [last]
+    assert dev.channels[0].bus_free_at <= last
 
 
 def test_page_copy_parallelism_across_channels(sim):
     """A 4 KB page spread over 8 channels finishes ~8x faster than serial."""
     dev = make(sim)
-    last = dev.access_range(0, 4096, False, TrafficClass.FILL)
+    last = max(dev.transfer(0, range(64), False, TrafficClass.FILL))
     serial_estimate = 64 * dev.timing.tburst
     assert last < serial_estimate
 
 
 def test_row_hit_rate_aggregates(sim):
     dev = make(sim, scaled_dram(DDR4_3200, 1 << 24))
-    dev.access_range(0, 4096, False, TrafficClass.FILL)
+    dev.transfer(0, range(64), False, TrafficClass.FILL)
     # Sequential page fill on one channel: mostly row hits.
     assert dev.row_hit_rate > 0.9
 
@@ -77,5 +82,5 @@ def test_bandwidth_gbps(sim):
 
 def test_accesses_counter(sim):
     dev = make(sim)
-    dev.access_range(0, 256, False, TrafficClass.DEMAND)
+    dev.transfer(0, range(4), False, TrafficClass.DEMAND)
     assert dev.stats.get("accesses").value == 4

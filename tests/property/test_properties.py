@@ -1,14 +1,19 @@
 """Property-based tests (hypothesis) for core data structures."""
 
+from collections import OrderedDict
+
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.mshr import MSHRFile
 from repro.cache.sram_cache import SRAMCache
 from repro.common.bitvector import BitVector
+from repro.common.types import TrafficClass
 from repro.core.free_queue import FreeQueue
-from repro.dram.address_map import AddressMap
 from repro.config.dram import DDR4_3200, HBM2
 from repro.config.system import CacheConfig
+from repro.dram.device import DRAMDevice
+from repro.engine.simulator import Simulator
+from repro.schemes.tid import TiDTagArray
 from repro.vm.descriptors import CPDArray
 
 
@@ -111,15 +116,48 @@ def test_free_queue_accounting_invariant(ops):
 
 @given(st.integers(0, 2**34), st.sampled_from([HBM2, DDR4_3200]))
 def test_address_map_decode_in_range(addr, cfg):
-    am = AddressMap(cfg)
-    d = am.decode(addr)
-    assert 0 <= d.channel < cfg.num_channels
-    assert 0 <= d.bank < cfg.banks_per_channel
-    assert d.row >= 0
+    """A burst at any address lands on one channel and one bank."""
+    dev = DRAMDevice(Simulator(), "dev", cfg, 3.6)
+    dev.access(addr, False, TrafficClass.DEMAND)
+    touched = [(c, b) for c, ch in enumerate(dev.channels)
+               for b, bank in enumerate(ch.banks) if bank.open_row is not None]
+    assert len(touched) == 1
+    c, b = touched[0]
+    assert dev.channels[c].reads == 1
+    assert dev.channels[c].banks[b].open_row >= 0
 
 
 @given(st.integers(0, 2**30))
 def test_address_map_same_burst_same_location(addr):
-    am = AddressMap(HBM2)
+    dev = DRAMDevice(Simulator(), "dev", HBM2, 3.6)
     base = (addr >> 6) << 6
-    assert am.decode(base) == am.decode(base + 63)
+    dev.access(base, False, TrafficClass.DEMAND)
+    dev.access(base + 63, False, TrafficClass.DEMAND)
+    assert sum(ch.row_hits for ch in dev.channels) == 1
+    assert sum(ch.reads for ch in dev.channels) == 2
+
+
+# -- TiD tag array ----------------------------------------------------------------
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 40)), max_size=200),
+       st.integers(1, 4), st.integers(1, 6))
+def test_tid_way_allocation_matches_smallest_free_way(ops, num_sets, ways):
+    """``allocate`` fills a non-full set at way ``len(set)``; that is the
+    same choice as the smallest way no resident line holds."""
+    tags = TiDTagArray(num_sets, ways)
+    model = [OrderedDict() for _ in range(num_sets)]  # line -> way, LRU first
+    for allocate, line in ops:
+        s = model[line % num_sets]
+        if not allocate or line in s:
+            assert (tags.lookup(line) is not None) == (line in s)
+            if line in s:
+                s.move_to_end(line)
+            continue
+        victim = None
+        if len(s) >= ways:
+            victim_id, way = s.popitem(last=False)
+            victim = (victim_id, way, False)
+        else:
+            way = min(set(range(ways)) - set(s.values()))
+        s[line] = way
+        assert tags.allocate(line) == (way, victim)
