@@ -10,18 +10,19 @@ one-branch pattern as ``repro.guard``: each hooked class carries a
 attribute, uninstallation deletes it, and an un-observed run pays one
 always-false branch per hook site.
 
-Strictly read-only by construction: hooks append to in-memory lists and
-never schedule, mutate, or reorder simulation state, so an observed run
-is bit-identical to a bare one (pinned by the telemetry golden tests).
+Strictly read-only by construction: hooks append to the tracer's event
+store and never schedule, mutate, or reorder simulation state, so an
+observed run is bit-identical to a bare one (pinned by the telemetry
+golden tests).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Optional, Union
+from itertools import chain
+from typing import Iterator, Optional, Union
 
 from repro.telemetry.config import (
+    CAT_COUNTER,
     CAT_DRAM,
     CAT_MSHR,
     CAT_OS,
@@ -29,7 +30,7 @@ from repro.telemetry.config import (
     TelemetryConfig,
 )
 from repro.telemetry.sampler import Sampler
-from repro.telemetry.tracer import SCHEMA_VERSION, Tracer
+from repro.telemetry.tracer import SCHEMA_VERSION, Tracer, write_document
 
 
 class Telemetry:
@@ -40,7 +41,6 @@ class Telemetry:
         self.sampler = Sampler(self.config)
         self.tracer = Tracer(self.config) if self.config.categories else None
         self.machine = None
-        self.document: Optional[dict] = None
         self.summary: Optional[dict] = None
         self._hooked: list = []
 
@@ -94,62 +94,64 @@ class Telemetry:
     def last_window(self) -> dict:
         """What the machine was doing just now (for crash bundles)."""
         window = self.config.window
+        tracer = self.tracer
         tail = []
-        if self.tracer is not None:
-            for e in self.tracer.events[-window:]:
-                ph = e.get("ph")
-                label = f"t={e.get('ts')} {ph} {e.get('cat')}.{e.get('name')}"
+        if tracer is not None:
+            for e in tracer.tail(window):
+                label = f"t={e.get('ts')} {e.get('ph')} {e.get('cat')}.{e.get('name')}"
                 tail.append(label)
         return {
             "samples": [dict(s) for s in self.sampler.samples[-window:]],
             "num_samples": len(self.sampler.samples),
             "trace_tail": tail,
-            "num_trace_events": (
-                len(self.tracer.events) if self.tracer is not None else 0
-            ),
-            "span_counts": (
-                dict(self.tracer.span_counts)
-                if self.tracer is not None else {}
-            ),
+            "num_trace_events": tracer.num_events if tracer is not None else 0,
+            "span_counts": tracer.span_counts if tracer is not None else {},
         }
 
     # -- finalize ------------------------------------------------------
 
     def finalize(self, machine, result) -> dict:
-        """Close spans, build + (optionally) write the trace document,
-        and compute the summary.  Returns the summary dict."""
-        from repro.telemetry.timeline import summarize_trace
+        """Close spans, stream the trace document to ``timeline_path``
+        (when set), and compute the summary from the store.  Returns the
+        summary dict."""
+        from repro.telemetry import timeline
 
         self.sampler.final_sample()
-        truncated = 0
-        if self.tracer is not None:
-            truncated = self.tracer.close_open_spans(machine.sim.now)
-        self.document = self._build_document(machine, result, truncated)
-        if self.config.timeline_path:
-            path = Path(self.config.timeline_path)
-            if path.parent != Path(""):
-                path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(self.document))
-        self.summary = summarize_trace(self.document)
-        return self.summary
-
-    def _build_document(self, machine, result, truncated: int) -> dict:
         cps = machine.cfg.cycles_per_second
-        events = []
         tracer = self.tracer
+        truncated = 0
         if tracer is not None:
-            from repro.telemetry.config import CAT_COUNTER
-
+            truncated = tracer.close_open_spans(machine.sim.now)
             if CAT_COUNTER in self.config.categories:
                 for name, ts, values in self.sampler.counter_series(cps):
                     tracer.counter(name, ts, values)
-            events = tracer.metadata_events() + tracer.events
+        other = self._other_data(machine, result, truncated)
+        samples = self.sampler.samples
+        if self.config.timeline_path:
+            write_document(self.config.timeline_path, tracer, other, samples)
+        self.summary = timeline.summarize_trace({
+            "traceEvents": self.trace_events(),
+            "otherData": other,
+            "samples": samples,
+        })
+        return self.summary
+
+    def trace_events(self) -> Iterator[dict]:
+        """The document's ``traceEvents`` rendered from the store: track
+        metadata, then every recorded event in emission order."""
+        tracer = self.tracer
+        if tracer is None:
+            return iter(())
+        return chain(tracer.metadata_events(), tracer.iter_events())
+
+    def _other_data(self, machine, result, truncated: int) -> dict:
+        tracer = self.tracer
         other = {
             "schema_version": SCHEMA_VERSION,
             "tool": "repro.telemetry",
             "scheme": machine.scheme.scheme_name,
             "workload": machine.workload_name,
-            "cycles_per_second": cps,
+            "cycles_per_second": machine.cfg.cycles_per_second,
             "sample_every": self.config.sample_every,
             "num_samples": len(self.sampler.samples),
             "samples_dropped": self.sampler.dropped,
@@ -163,12 +165,7 @@ class Telemetry:
             other["stall_breakdown"] = dict(result.stall_breakdown)
             other["page_fills"] = result.page_fills
             other["page_writebacks"] = result.page_writebacks
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ns",
-            "otherData": other,
-            "samples": self.sampler.samples,
-        }
+        return other
 
 
 def as_telemetry(

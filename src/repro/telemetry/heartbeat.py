@@ -26,12 +26,10 @@ class HeartbeatStats:
         self._completions: Deque[Tuple[float, int]] = deque(
             maxlen=THROUGHPUT_WINDOW
         )
-        self.runs_observed = 0
 
     def observe(self, completed: int) -> None:
         """Record a progress event's cumulative completion count."""
         self._completions.append((self._clock(), int(completed)))
-        self.runs_observed = max(self.runs_observed, int(completed))
 
     def runs_per_sec(self) -> float:
         """Throughput over the retained completion window."""
@@ -73,11 +71,3 @@ def make_heartbeat(
                           for k, v in obs_counters.items()}
     return payload
 
-
-def hit_rate(counts: Dict[str, int]) -> Optional[float]:
-    """``hits / (hits + misses)`` of one cache section, or None."""
-    hits = int(counts.get("hits", 0))
-    misses = int(counts.get("misses", 0))
-    if hits + misses == 0:
-        return None
-    return hits / (hits + misses)

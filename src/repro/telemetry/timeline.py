@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.config import CAT_OS, CAT_PAGE_COPY
+from repro.telemetry.trace_schema import CAT_SERVICE
 
 
 def load_trace(path: Union[str, Path]) -> dict:
@@ -70,29 +71,29 @@ def overlap_fraction(
     return 1.0 - covered / total
 
 
-# -- span extraction ----------------------------------------------------
+# -- the summary --------------------------------------------------------
 
 
-def _async_spans(events: List[dict], cat: str) -> Dict[str, List[Tuple[int, int, str]]]:
-    """``{name: [(start, end, id)]}`` for balanced b/e pairs in *cat*."""
-    open_spans: Dict[str, List[Tuple[int, str]]] = {}
-    out: Dict[str, List[Tuple[int, int, str]]] = {}
-    for event in events:
-        if event.get("cat") != cat:
-            continue
-        ph = event.get("ph")
+class _SpanPairer:
+    """Pairs async ``b``/``e`` events of one category by ``id``; nested
+    reuse of an id closes LIFO."""
+
+    def __init__(self):
+        self._open: Dict[str, List[Tuple[int, str]]] = {}
+        #: ``{name: [(start, end)]}`` in the order the spans closed.
+        self.spans: Dict[str, List[Tuple[int, int]]] = {}
+
+    def add(self, event: dict, ph: str) -> None:
         key = str(event.get("id"))
         if ph == "b":
-            open_spans.setdefault(key, []).append(
+            self._open.setdefault(key, []).append(
                 (event["ts"], event.get("name", ""))
             )
         elif ph == "e":
-            stack = open_spans.get(key)
-            if not stack:
-                continue
-            start, name = stack.pop()
-            out.setdefault(name, []).append((start, event["ts"], key))
-    return out
+            stack = self._open.get(key)
+            if stack:
+                start, name = stack.pop()
+                self.spans.setdefault(name, []).append((start, event["ts"]))
 
 
 def _percentiles(durations: List[int]) -> dict:
@@ -115,42 +116,57 @@ def _percentiles(durations: List[int]) -> dict:
     }
 
 
-# -- the summary --------------------------------------------------------
-
-
 def summarize_trace(doc: dict) -> dict:
-    """Reduce a trace document to the ``repro timeline`` summary."""
-    events = doc.get("traceEvents", [])
+    """Reduce a trace document to the ``repro timeline`` summary.
+
+    ``doc["traceEvents"]`` may be any iterable of event dicts -- a
+    loaded file's list or :meth:`repro.telemetry.Telemetry.trace_events`
+    rendered from the store -- and is consumed in one pass.
+    """
     other = doc.get("otherData", {}) or {}
     samples = doc.get("samples", []) or []
 
+    num_events = 0
     by_phase: Dict[str, int] = {}
     by_category: Dict[str, int] = {}
-    for event in events:
+    copies = _SpanPairer()
+    service = _SpanPairer()
+    service_components: Dict[str, int] = {}
+    os_stalls: Dict[str, dict] = {}
+    tag_miss_spans: List[Tuple[int, int]] = []
+    for event in doc.get("traceEvents", []):
+        num_events += 1
         ph = event.get("ph", "?")
         by_phase[ph] = by_phase.get(ph, 0) + 1
         cat = event.get("cat")
-        if cat:
-            by_category[cat] = by_category.get(cat, 0) + 1
-
-    copies = _async_spans(events, CAT_PAGE_COPY)
-    fill_spans = [(s, e) for s, e, _ in copies.get("fill", [])]
-    wb_spans = [(s, e) for s, e, _ in copies.get("writeback", [])]
-
-    os_stalls: Dict[str, dict] = {}
-    tag_miss_spans: List[Tuple[int, int]] = []
-    for event in events:
-        if event.get("cat") != CAT_OS or event.get("ph") != "X":
+        if not cat:
             continue
-        name = event.get("name", "?")
-        ts, dur = event["ts"], event.get("dur", 0)
-        agg = os_stalls.setdefault(name, {"count": 0, "total_cycles": 0})
-        agg["count"] += 1
-        agg["total_cycles"] += dur
-        if name == "tag_miss":
-            tag_miss_spans.append((ts, ts + dur))
+        by_category[cat] = by_category.get(cat, 0) + 1
+        if cat == CAT_PAGE_COPY:
+            copies.add(event, ph)
+        elif cat == CAT_OS:
+            if ph != "X":
+                continue
+            name = event.get("name", "?")
+            ts, dur = event["ts"], event.get("dur", 0)
+            agg = os_stalls.setdefault(name, {"count": 0, "total_cycles": 0})
+            agg["count"] += 1
+            agg["total_cycles"] += dur
+            if name == "tag_miss":
+                tag_miss_spans.append((ts, ts + dur))
+        elif cat == CAT_SERVICE:
+            # Merged service traces (schema v2, repro.obs): the
+            # campaign -> enqueue -> claim -> batch-run -> ingest tree.
+            service.add(event, ph)
+            if ph == "b":
+                component = (event.get("args") or {}).get("component", "?")
+                service_components[component] = (
+                    service_components.get(component, 0) + 1
+                )
     for agg in os_stalls.values():
         agg["mean"] = agg["total_cycles"] / agg["count"]
+    fill_spans = copies.spans.get("fill", [])
+    wb_spans = copies.spans.get("writeback", [])
 
     sample_stats: dict = {"count": len(samples)}
     if samples:
@@ -164,26 +180,12 @@ def summarize_trace(doc: dict) -> dict:
             if values:
                 sample_stats[out_key] = fn(values)
 
-    # Merged service traces (schema v2, repro.obs): per-span-name latency
-    # percentiles for the campaign -> enqueue -> claim -> batch-run ->
-    # ingest tree, plus which components contributed events.
-    service_spans = {
-        name: _percentiles([e - s for s, e, _ in spans])
-        for name, spans in sorted(_async_spans(events, "service").items())
-    }
-    service_components: Dict[str, int] = {}
-    for event in events:
-        if event.get("cat") != "service" or event.get("ph") != "b":
-            continue
-        component = (event.get("args") or {}).get("component", "?")
-        service_components[component] = service_components.get(component, 0) + 1
-
     return {
         "scheme": other.get("scheme"),
         "workload": other.get("workload"),
         "runtime_cycles": other.get("runtime_cycles"),
         "ipc": other.get("ipc"),
-        "events": len(events),
+        "events": num_events,
         "by_phase": by_phase,
         "by_category": by_category,
         "copies": {
@@ -192,7 +194,12 @@ def summarize_trace(doc: dict) -> dict:
             "fill_latency": _percentiles([e - s for s, e in fill_spans]),
             "writeback_latency": _percentiles([e - s for s, e in wb_spans]),
         },
-        "service_spans": service_spans,
+        # Per-span-name latency percentiles, and which components
+        # contributed service spans.
+        "service_spans": {
+            name: _percentiles([e - s for s, e in spans])
+            for name, spans in sorted(service.spans.items())
+        },
         "service_components": service_components,
         "trace_ids": other.get("trace_ids") or [],
         "os_stalls": os_stalls,

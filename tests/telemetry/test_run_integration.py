@@ -3,7 +3,8 @@
 The page-copy spans must reconstruct every copy the backend counted,
 the document must validate against the published schema, and the
 overlap fraction must separate the non-blocking design (NOMAD) from
-the blocking one (TDC) on the same workload.
+the blocking one (TDC) on the same workload.  The document under test is
+the timeline file the run streamed out of its event store.
 """
 
 import pytest
@@ -11,31 +12,37 @@ import pytest
 from repro.harness import runner
 from repro.harness.runner import RunConfig, clear_cache, simulate
 from repro.telemetry import Telemetry, TelemetryConfig
-from repro.telemetry.timeline import summarize_trace
+from repro.telemetry.timeline import load_trace, summarize_trace
 from repro.telemetry.trace_schema import validate_trace
 
 _BASE = dict(workload="mcf", num_mem_ops=3000, num_cores=2)
 
 
-def _observed(scheme):
-    tel = Telemetry(TelemetryConfig(sample_every=1000))
+def _observed(scheme, tmp_path_factory):
+    timeline = tmp_path_factory.mktemp(scheme) / "timeline.json"
+    tel = Telemetry(TelemetryConfig(sample_every=1000,
+                                    timeline_path=str(timeline)))
     result, machine = simulate(RunConfig(scheme=scheme, **_BASE), telemetry=tel)
     return result, machine, tel
 
 
 @pytest.fixture(scope="module")
-def nomad_run():
-    return _observed("nomad")
+def nomad_run(tmp_path_factory):
+    return _observed("nomad", tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
-def tdc_run():
-    return _observed("tdc")
+def tdc_run(tmp_path_factory):
+    return _observed("tdc", tmp_path_factory)
+
+
+def _document(tel):
+    return load_trace(tel.config.timeline_path)
 
 
 def test_document_validates_against_schema(nomad_run):
     _result, _machine, tel = nomad_run
-    assert validate_trace(tel.document) == []
+    assert validate_trace(_document(tel)) == []
 
 
 def test_copy_spans_reconstruct_backend_counters(nomad_run):
@@ -86,7 +93,7 @@ def test_tdc_copy_spans_match_its_data_manager(tdc_run):
 def test_summary_round_trips_through_json_document(nomad_run):
     _result, _machine, tel = nomad_run
     # Re-summarizing the written document gives the attached summary.
-    assert summarize_trace(tel.document) == tel.summary
+    assert summarize_trace(_document(tel)) == tel.summary
 
 
 def test_last_window_shape(nomad_run):

@@ -1,4 +1,8 @@
-"""Tracer unit tests: span pairing, caps, track metadata."""
+"""Tracer unit tests: span pairing, caps, track metadata.
+
+Events are read back through the store's rendering
+(:meth:`Tracer.iter_events`).
+"""
 
 from repro.common.types import TrafficClass
 from repro.telemetry.config import (
@@ -12,14 +16,19 @@ from repro.telemetry.config import (
 from repro.telemetry.tracer import PID_COPY, PID_OS, Tracer
 
 
+def _events(tr):
+    return list(tr.iter_events())
+
+
 def test_copy_span_is_balanced_and_counted():
     tr = Tracer()
     tr.copy_begin(("be0", 3), "fill", 100, {"cfn": 7})
     tr.copy_end(("be0", 3), 900)
-    phases = [e["ph"] for e in tr.events]
+    events = _events(tr)
+    phases = [e["ph"] for e in events]
     assert phases == ["b", "e"]
-    assert tr.events[0]["id"] == tr.events[1]["id"]
-    assert tr.events[0]["args"] == {"cfn": 7}
+    assert events[0]["id"] == events[1]["id"]
+    assert events[0]["args"] == {"cfn": 7}
     assert tr.span_counts == {"copy.fill": 1}
 
 
@@ -29,9 +38,10 @@ def test_copy_key_reuse_nests_lifo():
     tr.copy_begin("k", "writeback", 20, {})
     tr.copy_end("k", 30)  # closes the writeback (inner)
     tr.copy_end("k", 40)  # closes the fill (outer)
-    ends = [e for e in tr.events if e["ph"] == "e"]
+    events = _events(tr)
+    ends = [e for e in events if e["ph"] == "e"]
     assert [e["name"] for e in ends] == ["writeback", "fill"]
-    begins = {e["name"]: e["id"] for e in tr.events if e["ph"] == "b"}
+    begins = {e["name"]: e["id"] for e in events if e["ph"] == "b"}
     assert [e["id"] for e in ends] == [begins["writeback"], begins["fill"]]
 
 
@@ -39,16 +49,17 @@ def test_copy_instant_attaches_to_innermost_open_span():
     tr = Tracer()
     tr.copy_begin("k", "fill", 10, {})
     tr.copy_instant("k", "launch", 15)
-    (instant,) = [e for e in tr.events if e["ph"] == "n"]
+    events = _events(tr)
+    (instant,) = [e for e in events if e["ph"] == "n"]
     assert instant["name"] == "launch"
-    assert instant["id"] == tr.events[0]["id"]
+    assert instant["id"] == events[0]["id"]
 
 
 def test_orphan_instant_and_end_are_noops():
     tr = Tracer()
     tr.copy_instant("ghost", "launch", 5)
     tr.copy_end("ghost", 6)
-    assert tr.events == []
+    assert _events(tr) == []
 
 
 def test_event_cap_drops_begins_but_never_unbalances():
@@ -61,7 +72,7 @@ def test_event_cap_drops_begins_but_never_unbalances():
     tr.copy_end("b", 6)
     assert tr.dropped == {CAT_PAGE_COPY: 1}
     balance = {}
-    for e in tr.events:
+    for e in _events(tr):
         balance[e["id"]] = balance.get(e["id"], 0) + (1 if e["ph"] == "b" else -1)
     assert all(v == 0 for v in balance.values())
 
@@ -71,9 +82,10 @@ def test_os_spans_get_stable_tids_per_label():
     tr.os_span("core0", "tag_miss", 100, 40)
     tr.os_span("core1", "tag_miss", 110, 25)
     tr.os_span("core0", "tag_miss", 200, 10)
-    tids = [e["tid"] for e in tr.events]
+    events = _events(tr)
+    tids = [e["tid"] for e in events]
     assert tids[0] == tids[2] != tids[1]
-    assert all(e["ph"] == "X" and e["pid"] == PID_OS for e in tr.events)
+    assert all(e["ph"] == "X" and e["pid"] == PID_OS for e in events)
     assert tr.span_counts["os.tag_miss"] == 3
 
 
@@ -81,12 +93,12 @@ def test_os_begin_end_pairs_into_complete_event():
     tr = Tracer()
     tr.os_begin(("daemon",), "eviction_batch", "daemon", 50)
     tr.os_end(("daemon",), 80, {"freed": 4})
-    (event,) = tr.events
+    (event,) = _events(tr)
     assert event["ph"] == "X"
     assert event["ts"] == 50 and event["dur"] == 30
     assert event["args"] == {"freed": 4}
     tr.os_end(("daemon",), 99)  # already closed: no-op
-    assert len(tr.events) == 1
+    assert len(_events(tr)) == 1
 
 
 def test_mshr_span_dedups_open_key():
@@ -95,8 +107,9 @@ def test_mshr_span_dedups_open_key():
     tr.mshr_begin(0xABC, 11)  # same line already open: ignored
     tr.mshr_end(0xABC, 50)
     tr.mshr_end(0xABC, 51)  # already closed: no-op
-    assert [e["ph"] for e in tr.events] == ["b", "e"]
-    assert all(e["cat"] == CAT_MSHR for e in tr.events)
+    events = _events(tr)
+    assert [e["ph"] for e in events] == ["b", "e"]
+    assert all(e["cat"] == CAT_MSHR for e in events)
 
 
 def test_dram_spans_get_per_device_pids_and_per_bank_tids():
@@ -104,7 +117,7 @@ def test_dram_spans_get_per_device_pids_and_per_bank_tids():
     tr.dram_span("hbm", 0, 0, 10, 30, False, TrafficClass.DEMAND)
     tr.dram_span("hbm", 1, 2, 10, 30, True, TrafficClass.FILL)
     tr.dram_span("ddr", 0, 0, 10, 30, False, TrafficClass.DEMAND)
-    hbm0, hbm1, ddr0 = tr.events
+    hbm0, hbm1, ddr0 = _events(tr)
     assert hbm0["pid"] == hbm1["pid"] != ddr0["pid"]
     assert hbm0["tid"] != hbm1["tid"]
     assert hbm0["name"] == "rd.DEMAND"
@@ -118,9 +131,10 @@ def test_close_open_spans_flags_truncation():
     tr.os_begin("d", "eviction_batch", "daemon", 12)
     assert tr.close_open_spans(100) == 3
     assert not tr._open_copies and not tr._open_mshrs and not tr._open_os
-    copy_end = [e for e in tr.events if e["ph"] == "e" and e["cat"] == CAT_PAGE_COPY]
+    events = _events(tr)
+    copy_end = [e for e in events if e["ph"] == "e" and e["cat"] == CAT_PAGE_COPY]
     assert copy_end[0]["args"]["truncated"] is True
-    os_x = [e for e in tr.events if e.get("cat") == CAT_OS]
+    os_x = [e for e in events if e.get("cat") == CAT_OS]
     assert os_x[0]["args"]["truncated"] is True
 
 
