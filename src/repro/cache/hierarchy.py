@@ -18,8 +18,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from repro.cache.mshr import MSHREntry, MSHRFile
-from repro.cache.sram_cache import CacheLine, SRAMCache
+from repro.cache.mshr import MSHRFile
+from repro.cache.sram_cache import SRAMCache
 from repro.common.types import CACHE_LINE_SIZE, MemAccess
 from repro.config.system import SystemConfig
 from repro.engine.simulator import Component, Simulator
@@ -79,7 +79,7 @@ class CacheHierarchy(Component):
         return {
             "llc_accesses": self.llc_access_count,
             "llc_misses": self.llc_miss_count,
-            "mshr_outstanding": len(self.mshrs._entries),
+            "mshr_outstanding": self.mshrs.outstanding(),
             "mshr_overflow": len(self.mshrs._overflow),
             "pending_issue": len(self._pending_issue),
             "pending_dirty": len(self._pending_dirty),
@@ -102,80 +102,38 @@ class CacheHierarchy(Component):
         core = access.core_id
         key = (core << _CORE_SHIFT) | (access.addr >> 6)  # line_key() inlined
         is_write = access.is_write
-
-        # The three probes inline SRAMCache.lookup (which stays the
-        # reference implementation -- keep the two in sync).  All
-        # hierarchy levels use LRU, so the touch is an unconditional
-        # delete-and-reinsert at the back of the set dict.  Keys here are
-        # nonnegative ints below 2**61 - 1, for which hash(k) == k, so
-        # ``key % num_sets`` picks the same set as SRAMCache._set_index.
         l1 = self.l1[core]
-        cache_set = l1._sets[key % l1.num_sets]
-        line = cache_set.get(key)
-        if line is not None:
-            del cache_set[key]
-            cache_set[key] = line
-            if is_write:
-                line.dirty = True
-            l1.hits += 1
+        if l1.lookup(key, is_write) is not None:
             return now + self._l1_latency
-        l1.misses += 1
 
         l2 = self.l2[core]
-        cache_set = l2._sets[key % l2.num_sets]
-        line = cache_set.get(key)
+        line = l2.lookup(key, is_write)
         if line is not None:
-            del cache_set[key]
-            cache_set[key] = line
-            if is_write:
-                line.dirty = True
-            l2.hits += 1
             self._fill_level(l1, key, line.paddr, core)
             return now + self._l2_latency
-        l2.misses += 1
 
         self.llc_access_count += 1
-        l3 = self.l3
-        cache_set = l3._sets[key % l3.num_sets]
-        line = cache_set.get(key)
+        line = self.l3.lookup(key, is_write)
         if line is not None:
-            del cache_set[key]
-            cache_set[key] = line
-            if is_write:
-                line.dirty = True
-            l3.hits += 1
             paddr = line.paddr
             self._fill_level(l2, key, paddr, core)
             self._fill_level(l1, key, paddr, core)
             return now + self._l3_latency
-        l3.misses += 1
 
-        # LLC miss: enter the event-driven world.  MSHRFile.allocate is
-        # inlined (merge / queue / new -- keep in sync with mshr.py).
+        # LLC miss: enter the event-driven world.
         self.llc_miss_count += 1
         if is_write:
             self._pending_dirty.add(key)
-        mshrs = self.mshrs
-        entries = mshrs._entries
-        entry = entries.get(key)
-        if entry is not None:
-            entry.waiters.append(on_complete)
-            mshrs.merges += 1
-        elif len(entries) >= mshrs.capacity:
-            mshrs._overflow.append((key, now, on_complete))
-            mshrs.overflow_events += 1
-            # Remember the access so the miss can be issued when an MSHR
-            # frees up (drained in _on_fill).
-            if key not in self._pending_issue:
-                self._pending_issue[key] = access
-        else:
-            entries[key] = MSHREntry(key, now, [on_complete])
-            mshrs.allocations += 1
+        outcome = self.mshrs.allocate(key, now, on_complete)
+        if outcome == "new":
             self._pending_issue[key] = access
-            issue_at = now + self._l3_latency
-            self._schedule_at(issue_at, partial(self._issue_miss, key))
+            self._schedule_at(now + self._l3_latency, partial(self._issue_miss, key))
             if self._tel is not None:
                 self._tel.mshr_begin(key, now)
+        elif outcome == "queued":
+            # Remember the access so the miss can be issued when an MSHR
+            # frees up (drained in _on_fill).
+            self._pending_issue.setdefault(key, access)
         return None
 
     def _issue_miss(self, key: int) -> None:
@@ -187,28 +145,21 @@ class CacheHierarchy(Component):
     def _on_fill(self, key: int, access: MemAccess, finish_time: int) -> None:
         """The DRAM cache scheme delivered the line; fill and notify."""
         paddr = access.paddr if access.paddr is not None else access.addr
-        core = access.core_id
         dirty = access.is_write or key in self._pending_dirty
         self._pending_dirty.discard(key)
-        self._insert_inclusive(core, key, paddr, dirty=dirty)
+        self._insert_inclusive(access.core_id, key, paddr, dirty)
         done = finish_time + self.response_latency
-        mshrs = self.mshrs
         if self._tel is not None:
             self._tel.mshr_end(key, finish_time)
-        # MSHRFile.retire inlined; overflow drain skipped when empty.
-        for waiter in mshrs._entries.pop(key).waiters:
+        now = self.sim.now
+        for waiter in self.mshrs.retire(key, now):
             waiter(done)
-        if mshrs._overflow:
-            for promoted in mshrs.drain_overflow(self.sim.now):
-                self._issue_miss(promoted)
-                if self._tel is not None:
-                    self._tel.mshr_begin(promoted, self.sim.now)
+        for promoted in self.mshrs.drain_overflow(now):
+            self._issue_miss(promoted)
+            if self._tel is not None:
+                self._tel.mshr_begin(promoted, now)
 
     # -- fills, evictions, invalidation ----------------------------------
-
-    def _paddr_of(self, cache: SRAMCache, key: int) -> int:
-        line = cache._sets[cache._set_index(key)].get(key)
-        return line.paddr if line is not None else 0
 
     def _fill_level(self, cache: SRAMCache, key: int, paddr: int, core: int) -> None:
         victim = cache.insert(key, paddr)
@@ -216,55 +167,15 @@ class CacheHierarchy(Component):
             self._spill(victim, core)
 
     def _insert_inclusive(self, core: int, key: int, paddr: int, dirty: bool) -> None:
-        # One of these per LLC miss; the three SRAMCache.insert calls
-        # are inlined (keep in sync with sram_cache.py; see access() for
-        # why ``key %`` replaces ``hash(key) %``).
-        l3 = self.l3
-        cache_set = l3._sets[key % l3.num_sets]
-        line = cache_set.get(key)
-        if line is not None:
-            line.paddr = paddr
-            del cache_set[key]
-            cache_set[key] = line
-        else:
-            victim = None
-            if len(cache_set) >= l3.ways:
-                victim = cache_set.pop(next(iter(cache_set)))
-            cache_set[key] = CacheLine(key, paddr, False)
-            if victim is not None:
-                self._back_invalidate(victim)
-
-        l2 = self.l2[core]
-        cache_set = l2._sets[key % l2.num_sets]
-        line = cache_set.get(key)
-        if line is not None:
-            line.paddr = paddr
-            del cache_set[key]
-            cache_set[key] = line
-        else:
-            victim = None
-            if len(cache_set) >= l2.ways:
-                victim = cache_set.pop(next(iter(cache_set)))
-            cache_set[key] = CacheLine(key, paddr, False)
-            if victim is not None and victim.dirty:
-                self._spill(victim, core)
-
-        l1 = self.l1[core]
-        cache_set = l1._sets[key % l1.num_sets]
-        line = cache_set.get(key)
-        if line is not None:
-            if dirty:
-                line.dirty = True
-            line.paddr = paddr
-            del cache_set[key]
-            cache_set[key] = line
-        else:
-            victim = None
-            if len(cache_set) >= l1.ways:
-                victim = cache_set.pop(next(iter(cache_set)))
-            cache_set[key] = CacheLine(key, paddr, dirty)
-            if victim is not None and victim.dirty:
-                self._spill(victim, core)
+        victim = self.l3.insert(key, paddr)
+        if victim is not None:
+            self._back_invalidate(victim)
+        victim = self.l2[core].insert(key, paddr)
+        if victim is not None and victim.dirty:
+            self._spill(victim, core)
+        victim = self.l1[core].insert(key, paddr, dirty)
+        if victim is not None and victim.dirty:
+            self._spill(victim, core)
 
     def _spill(self, victim, core: int) -> None:
         """Push a dirty victim one level down; L3 victims go to DRAM."""
@@ -282,15 +193,10 @@ class CacheHierarchy(Component):
         core = key >> _CORE_SHIFT
         dirty = victim.dirty
         if core < self.num_cores:
-            # SRAMCache.invalidate inlined (two pops per L3 eviction).
-            l1 = self.l1[core]
-            l1_line = l1._sets[key % l1.num_sets].pop(key, None)
-            if l1_line is not None and l1_line.dirty:
-                dirty = True
-            l2 = self.l2[core]
-            l2_line = l2._sets[key % l2.num_sets].pop(key, None)
-            if l2_line is not None and l2_line.dirty:
-                dirty = True
+            for cache in (self.l1[core], self.l2[core]):
+                line = cache.invalidate(key)
+                if line is not None and line.dirty:
+                    dirty = True
         if dirty:
             self.writeback_handler(victim.paddr)
 
@@ -303,18 +209,12 @@ class CacheHierarchy(Component):
         """
         dirty_addrs: List[int] = []
         base = (core_id << _CORE_SHIFT) | (vpn * LINES_PER_PAGE)
-        l1, l2, l3 = self.l1[core_id], self.l2[core_id], self.l3
-        # 64 keys x 3 levels per eviction; SRAMCache.invalidate inlined.
-        levels = (
-            (l1._sets, l1.num_sets),
-            (l2._sets, l2.num_sets),
-            (l3._sets, l3.num_sets),
-        )
+        levels = (self.l1[core_id], self.l2[core_id], self.l3)
         for key in range(base, base + LINES_PER_PAGE):
             dirty = False
             paddr = 0
-            for sets, num_sets in levels:
-                line = sets[key % num_sets].pop(key, None)
+            for cache in levels:
+                line = cache.invalidate(key)
                 if line is not None:
                     paddr = line.paddr
                     dirty = dirty or line.dirty

@@ -2,21 +2,22 @@
 
 State (contents, dirty bits) is updated at lookup time; timing is
 composed by the hierarchy from the per-level hit latencies of Table II.
-Lines are keyed by a caller-chosen hashable (the hierarchy uses
-``(core_id, virtual_line)``), and each line remembers the translated
-burst address it was filled from so dirty evictions can be routed to the
-right DRAM device.
+Lines are keyed by the hierarchy's ``(core_id << 48) | line`` ints, and
+each line remembers the translated burst address it was filled from so
+dirty evictions can be routed to the right DRAM device.
 
 Every core memory op probes up to three levels, so this is the hottest
 data structure in the simulator.  LRU order is therefore folded into
 the (insertion-ordered) set dicts themselves instead of a parallel
 policy structure: the first key of a set dict is the victim, and a
-touch re-inserts the line at the back.
+touch re-inserts the line at the back.  Keys are non-negative ints, so
+``key % num_sets`` indexes the set directly (it equals
+``hash(key) % num_sets`` for every key below 2**61 - 1).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.inline_state import InlineState
 from repro.config.system import CacheConfig
@@ -25,7 +26,7 @@ from repro.config.system import CacheConfig
 class CacheLine:
     __slots__ = ("key", "paddr", "dirty")
 
-    def __init__(self, key: Hashable, paddr: int, dirty: bool = False):
+    def __init__(self, key: int, paddr: int, dirty: bool = False):
         self.key = key
         self.paddr = paddr  # translated byte address of the line at fill time
         self.dirty = dirty
@@ -43,38 +44,34 @@ class SRAMCache(InlineState):
         if self.num_sets <= 0:
             raise ValueError(f"{cfg.name}: zero sets (size too small for ways)")
         self.ways = cfg.ways
-        self._sets: List[Dict[Hashable, CacheLine]] = [
+        self._sets: List[Dict[int, CacheLine]] = [
             dict() for _ in range(self.num_sets)
         ]
         self.hits = 0
         self.misses = 0
 
-    def _set_index(self, key: Hashable) -> int:
-        return hash(key) % self.num_sets
-
-    def lookup(self, key: Hashable, is_write: bool = False) -> bool:
-        """Probe for ``key``; updates recency and dirty state on hit."""
-        cache_set = self._sets[hash(key) % self.num_sets]
+    def lookup(self, key: int, is_write: bool = False) -> Optional[CacheLine]:
+        """Probe for ``key``; on a hit updates recency and dirty state
+        and returns the line, on a miss returns None."""
+        cache_set = self._sets[key % self.num_sets]
         line = cache_set.get(key)
         if line is None:
             self.misses += 1
-            return False
+            return None
         del cache_set[key]
         cache_set[key] = line
         if is_write:
             line.dirty = True
         self.hits += 1
-        return True
+        return line
 
-    def contains(self, key: Hashable) -> bool:
+    def contains(self, key: int) -> bool:
         """Probe without updating recency or counters."""
-        return key in self._sets[hash(key) % self.num_sets]
+        return key in self._sets[key % self.num_sets]
 
-    def insert(
-        self, key: Hashable, paddr: int, dirty: bool = False
-    ) -> Optional[CacheLine]:
+    def insert(self, key: int, paddr: int, dirty: bool = False) -> Optional[CacheLine]:
         """Fill ``key``; returns the evicted victim line (if any)."""
-        cache_set = self._sets[hash(key) % self.num_sets]
+        cache_set = self._sets[key % self.num_sets]
         line = cache_set.get(key)
         if line is not None:
             line.dirty = line.dirty or dirty
@@ -88,25 +85,12 @@ class SRAMCache(InlineState):
         cache_set[key] = CacheLine(key, paddr, dirty)
         return victim
 
-    def invalidate(self, key: Hashable) -> Optional[CacheLine]:
+    def invalidate(self, key: int) -> Optional[CacheLine]:
         """Remove ``key``; returns the line (caller handles dirty data)."""
-        return self._sets[hash(key) % self.num_sets].pop(key, None)
+        return self._sets[key % self.num_sets].pop(key, None)
 
-    def invalidate_matching(self, predicate) -> List[CacheLine]:
-        """Remove every line whose key satisfies ``predicate``.
-
-        Used by the DC eviction flush (Algorithm 2, line 3).  This is a
-        full scan and therefore only called on the page-eviction path.
-        """
-        removed: List[CacheLine] = []
-        for cache_set in self._sets:
-            doomed = [k for k in cache_set if predicate(k)]
-            for key in doomed:
-                removed.append(cache_set.pop(key))
-        return removed
-
-    def update_paddr(self, key: Hashable, paddr: int) -> None:
-        line = self._sets[hash(key) % self.num_sets].get(key)
+    def update_paddr(self, key: int, paddr: int) -> None:
+        line = self._sets[key % self.num_sets].get(key)
         if line is not None:
             line.paddr = paddr
 

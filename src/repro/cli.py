@@ -586,9 +586,7 @@ def cmd_bench(args) -> int:
     if args.obs:
         measured = bench.run_obs_bench(quick=args.quick)
     else:
-        measured = bench.run_bench(quick=args.quick,
-                                   profile=not args.no_profile,
-                                   sweep=args.sweep)
+        measured = bench.run_bench(quick=args.quick, sweep=args.sweep)
 
     if args.update:
         bench.update_report(args.file, measured)
@@ -977,8 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--update", action="store_true",
                          help="rewrite the committed report's 'current' "
                               "entries (baselines stay frozen)")
-    p_bench.add_argument("--no-profile", action="store_true",
-                         help="skip the cProfile phase breakdown")
     p_bench.add_argument("--sweep", action="store_true",
                          help="measure campaign sweep throughput (machine-"
                               "snapshot amortization) instead of the engine "

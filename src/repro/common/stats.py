@@ -154,14 +154,6 @@ class BandwidthMeter:
         seconds = elapsed_cycles / cycles_per_second
         return self.total_bytes / seconds / 1e9
 
-    def class_gbps(
-        self, traffic_class: TrafficClass, elapsed_cycles: int, cycles_per_second: float
-    ) -> float:
-        if elapsed_cycles <= 0:
-            return 0.0
-        seconds = elapsed_cycles / cycles_per_second
-        return self.bytes_by_class[traffic_class] / seconds / 1e9
-
     def breakdown(self) -> Dict[str, float]:
         """Fraction of bytes per traffic class (sums to 1 when non-empty)."""
         total = self.total_bytes

@@ -57,7 +57,6 @@ class Core(Component):
         self.trace = iter(trace)
         self._next_op = self.trace.__next__  # bound once; called per op
         self.on_finish = on_finish
-        self._bind_fastpaths()
 
         # Dispatch-clock state (may run ahead of sim.now).
         self.dispatch_cycles = 0
@@ -93,29 +92,11 @@ class Core(Component):
         self.tlb_misses = 0
         self.tag_miss_count = 0
 
-    def _bind_fastpaths(self) -> None:
-        """Bind the two per-op scheme calls once.  Real schemes expose
-        .tlbs / .hierarchy; test doubles may only implement the
-        tlb_lookup / hierarchy_access methods, so fall back to those.
-        Re-run after unpickling (see ``__setstate__``)."""
-        scheme = self.scheme
-        core_id = self.core_id
-        tlbs = getattr(scheme, "tlbs", None)
-        if tlbs is not None:
-            self._tlb = tlbs[core_id]
-            self._tlb_lookup = tlbs[core_id].lookup
-        else:
-            self._tlb = None
-            self._tlb_lookup = lambda vpn: scheme.tlb_lookup(core_id, vpn)
-        hier = getattr(scheme, "hierarchy", None)
-        self._hier_access = hier.access if hier is not None else scheme.hierarchy_access
-        self._translate = scheme.translate_addr
-
-    # Attributes derived from the trace or rebindable from the scheme;
-    # dropped from snapshots (iterators and lambdas do not pickle, and
-    # the trace itself is re-materialized from (spec, seed) on restore).
+    # Attributes derived from the trace or bound from the scheme by
+    # start(); dropped from snapshots (iterators do not pickle, and the
+    # trace itself is re-materialized from (spec, seed) on restore).
     _TRANSIENT = (
-        "trace", "_next_op", "_tlb", "_tlb_lookup", "_hier_access", "_translate",
+        "trace", "_next_op", "_tlb_lookup", "_hier_access", "_translate",
     )
 
     def __getstate__(self) -> dict:
@@ -129,7 +110,6 @@ class Core(Component):
         super().__setstate__(state)
         self.trace = None
         self._next_op = None
-        self._bind_fastpaths()
 
     def attach_trace(self, trace: Iterator) -> None:
         """Give a restored core its (re-materialized) trace back."""
@@ -139,6 +119,13 @@ class Core(Component):
     # -- public API -------------------------------------------------------
 
     def start(self) -> None:
+        # The per-op scheme calls are bound here, not in __init__: when a
+        # machine is forked, unpickling restores this core before its
+        # scheme, whose tlbs/hierarchy do not exist yet at that point.
+        scheme = self.scheme
+        self._tlb_lookup = scheme.tlbs[self.core_id].lookup
+        self._hier_access = scheme.hierarchy.access
+        self._translate = scheme.translate_addr
         self.sim.schedule(0, self._advance)
 
     def guard_state(self) -> dict:
@@ -184,14 +171,6 @@ class Core(Component):
         outstanding = self.outstanding
         next_op = self._next_op
         tlb_lookup = self._tlb_lookup
-        # L1-TLB-hit fast path bound here; mirrors the top of TLB.lookup
-        # (which stays the reference implementation -- keep in sync).
-        tlb = self._tlb
-        if tlb is not None:
-            tlb_l1 = tlb._l1
-            l1_get = tlb_l1.get
-            l1_move = tlb_l1.move_to_end
-            l2_move = tlb._l2.move_to_end
         while True:
             if self._pending_op is None:
                 try:
@@ -234,17 +213,6 @@ class Core(Component):
 
             _, addr, is_write, dependent = self._pending_op
             vpn = addr >> 12
-            if tlb is not None:
-                pte = l1_get(vpn)
-                if pte is not None:
-                    l1_move(vpn)
-                    l2_move(vpn)
-                    tlb.l1_hits += 1
-                    if not self._issue_and_handle_dep(
-                        pte, 0, d, addr, is_write, idx, dependent
-                    ):
-                        return
-                    continue
             tlb_result = tlb_lookup(vpn)
             if tlb_result is None:
                 self.tlb_misses += 1
@@ -400,7 +368,3 @@ class Core(Component):
         self.finish_time = max(end, self.sim.now)
         if self.on_finish is not None:
             self.on_finish(self)
-
-
-def _ignore(_t: int) -> None:
-    """Completion sink for stores (retired via the store buffer)."""

@@ -11,8 +11,10 @@ sifting compares plain ints and never calls back into Python-level
 ``__lt__`` (``seq`` is unique, so the event object itself is never
 compared).  Cancellation stays a tombstone on the :class:`Event` handle,
 but a live-event counter is maintained on push/pop/cancel so ``len()``
-is O(1).  The simulator's run loop reads ``_heap``/``_live`` directly;
-any change to this layout must be mirrored there.
+is O(1).  The layout is private to this module: the simulator
+schedules through :meth:`EventQueue.push` and dispatches through
+:meth:`EventQueue.pop`/:meth:`EventQueue.peek_time`, and only the
+guard's checkers and chaos injections read the heap directly.
 """
 
 from __future__ import annotations
@@ -84,6 +86,15 @@ class EventQueue(InlineState):
                 return entry[0]
             heapq.heappop(heap)
         return None
+
+    def first_live(self) -> Optional[Event]:
+        """The next live event without popping anything (diagnostics).
+
+        A scan rather than a heap peek: past index 0 heap order is not
+        time order, and :meth:`peek_time` mutates (it drops tombstones).
+        """
+        live = [entry for entry in self._heap if not entry[2].cancelled]
+        return min(live)[2] if live else None
 
     def __len__(self) -> int:
         return self._live

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, List, Optional
 
 from repro.common.inline_state import InlineState
@@ -26,7 +25,7 @@ class Simulator(InlineState):
         self.events_processed = 0  # cumulative across run() calls
         # Optional paranoid-mode hook (duck-typed: anything exposing
         # before_event/after_event, see repro.guard.Guard).  The engine
-        # never imports the guard package; None keeps the fast loops.
+        # never imports the guard package; None keeps run() hook-free.
         self._guard = None
 
     def attach_guard(self, guard) -> None:
@@ -41,34 +40,16 @@ class Simulator(InlineState):
         return list(self._components)
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to fire ``delay`` cycles from now.
-
-        Body mirrors :meth:`EventQueue.push` (layout contract in the
-        queue docstring) so every scheduled event pays one call frame,
-        not two.
-        """
+        """Schedule ``callback`` to fire ``delay`` cycles from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        queue = self._queue
-        time = self.now + delay
-        seq = queue._seq
-        queue._seq = seq + 1
-        event = Event(time, seq, callback, queue)
-        heapq.heappush(queue._heap, (time, seq, event))
-        queue._live += 1
-        return event
+        return self._queue.push(self.now + delay, callback)
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at an absolute time >= now."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        event = Event(time, seq, callback, queue)
-        heapq.heappush(queue._heap, (time, seq, event))
-        queue._live += 1
-        return event
+        return self._queue.push(time, callback)
 
     def stop(self) -> None:
         """Request the run loop to exit after the current event."""
@@ -79,97 +60,47 @@ class Simulator(InlineState):
 
         ``until`` bounds simulated time (events after it stay queued);
         ``max_events`` bounds work, guarding against runaway feedback loops
-        in a buggy component.
+        in a buggy component.  An attached guard's hooks run around each
+        callback; the dispatch order is the same either way, so guarded
+        runs stay bit-identical.  Bounded and guarded runs keep
+        ``events_processed`` exact per event, so a guard exception leaves
+        the count the crash bundle and its replay need.
         """
-        if self._guard is not None:
-            return self._run_guarded(until, max_events)
         processed = 0
         self._stopped = False
-        # This loop dispatches every event of every run, so it works on
-        # the EventQueue internals directly (tuple heap entries, the live
-        # counter) instead of paying a peek+pop call pair per event; the
-        # queue docstring pins the layout contract.
         queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        if until is None and max_events is None:
-            # The common, unbounded call: drop the two bound checks from
-            # the loop.  Popping before the cancelled check is equivalent
-            # to peeking here because a cancelled head is discarded either
-            # way and a live head is popped next anyway.
-            while heap and not self._stopped:
-                entry = heappop(heap)
-                event = entry[2]
-                if event.cancelled:
-                    continue
-                queue._live -= 1
-                event._queue = None
-                self.now = entry[0]
+        pop = queue.pop
+        guard = self._guard
+        if guard is None and until is None and max_events is None:
+            # The common, unbounded call: no bound checks in the loop.
+            while not self._stopped:
+                event = pop()
+                if event is None:
+                    break
+                self.now = event.time
                 event.callback()
                 processed += 1
             self.events_processed += processed
             return processed
+        peek_time = queue.peek_time
         while not self._stopped:
             if max_events is not None and processed >= max_events:
                 break
-            if not heap:
+            time = peek_time()
+            if time is None:
                 break
-            entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
-                heappop(heap)
-                continue
-            time = entry[0]
             if until is not None and time > until:
                 self.now = until
                 break
-            heappop(heap)
-            queue._live -= 1
-            event._queue = None
+            event = pop()
             self.now = time
-            event.callback()
-            processed += 1
-        self.events_processed += processed
-        return processed
-
-    def _run_guarded(self, until: Optional[int], max_events: Optional[int]) -> int:
-        """The guarded dispatch loop: identical pop order to the fast
-        loops (so guarded runs stay bit-identical), with the guard's
-        per-event hooks around each callback.  ``events_processed`` is
-        maintained per event here, so a guard exception leaves an exact
-        count for the crash bundle and its replay.
-        """
-        guard = self._guard
-        before = guard.before_event
-        after = guard.after_event
-        processed = 0
-        self._stopped = False
-        queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        while not self._stopped:
-            if max_events is not None and processed >= max_events:
-                break
-            if not heap:
-                break
-            entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
-                heappop(heap)
-                continue
-            time = entry[0]
-            if until is not None and time > until:
-                self.now = until
-                break
-            heappop(heap)
-            queue._live -= 1
-            event._queue = None
-            self.now = time
-            before(time, entry[1], event.callback)
+            if guard is not None:
+                guard.before_event(time, event.seq, event.callback)
             event.callback()
             processed += 1
             self.events_processed += 1
-            after()
+            if guard is not None:
+                guard.after_event()
         return processed
 
     @property

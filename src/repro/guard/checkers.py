@@ -8,9 +8,11 @@ PCSHR/frame/TLB checkers attach only where a back-end or front-end
 exists (nomad, ideal, tdc), the MSHR/DRAM/ROB checkers attach
 everywhere.
 
-The checkers deliberately read the same private fields the engine's
-fast paths read (``EventQueue._heap``/``_live``, ``MSHRFile._entries``,
-``Backend._by_cfn``): the layout contracts those fast paths pin are
+The checkers deliberately read private fields (``EventQueue._heap``/
+``_live``, ``MSHRFile._entries``/``_overflow``, ``Backend._by_cfn``).
+Only the owning classes and the guard depend on their layout (the
+telemetry sampler and ``CacheHierarchy.guard_state`` take just the two
+MSHR queue lengths), so the layout contracts those classes keep are
 exactly what the guard verifies.
 
 The only state a checker mutates is ``PCSHR.sync(now)``, which brings

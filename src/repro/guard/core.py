@@ -14,8 +14,8 @@ the engine never imports this package), which gives the guard:
   chaos run is fully described by its :class:`GuardConfig` and can be
   replayed from a bundle.
 
-Guards are strictly opt-in: with no guard attached the simulator takes
-its unguarded fast loops and pays nothing.
+Guards are strictly opt-in: with no guard attached the simulator's run
+loop calls no hooks and pays nothing.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class Guard:
         self._progress_insts = -1
         self._progress_pending = -1
 
-    # -- per-event hooks (called from Simulator._run_guarded) ----------
+    # -- per-event hooks (called from Simulator.run) --------------------
 
     def before_event(self, time: int, seq: int,
                      callback: Callable[[], None]) -> None:
@@ -266,10 +266,10 @@ def callback_name(cb) -> str:
 
 def queue_head(sim) -> Optional[Tuple[int, int, str]]:
     """(time, seq, callback label) of the next live event, if any."""
-    for entry in sim._queue._heap:
-        if not entry[2].cancelled:
-            return entry[0], entry[1], callback_name(entry[2].callback)
-    return None
+    event = sim._queue.first_live()
+    if event is None:
+        return None
+    return event.time, event.seq, callback_name(event.callback)
 
 
 def progress_report(machine) -> List[str]:

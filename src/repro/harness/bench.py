@@ -27,10 +27,7 @@ measurements and must not be regenerated (``--update`` only rewrites the
 
 from __future__ import annotations
 
-import cProfile
-import io
 import json
-import pstats
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -128,46 +125,6 @@ def _measure(ops: int, cores: int, dc_mb: int, reps: int) -> Tuple[List[float], 
             walls.append(time.perf_counter() - t0)
             events += machine.sim.events_processed
     return walls, events
-
-
-def _profile_phases(ops: int, cores: int, dc_mb: int, top: int = 12) -> Dict[str, list]:
-    """cProfile the build and run phases separately; top-N by tottime."""
-    from repro.workloads.synthetic import clear_trace_cache
-
-    out: Dict[str, list] = {}
-    clear_trace_cache()  # so the build phase profiles real generation
-    cfg = scaled_system(num_cores=cores, dc_megabytes=dc_mb)
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    machine = build_machine(
-        BENCH_SCHEMES[0], workload_name=BENCH_WORKLOAD, cfg=cfg,
-        num_mem_ops=ops, seed=BENCH_SEED,
-    )
-    profiler.disable()
-    out["build"] = _top_entries(profiler, top)
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    machine.run()
-    profiler.disable()
-    out["run"] = _top_entries(profiler, top)
-    return out
-
-
-def _top_entries(profiler: cProfile.Profile, top: int) -> list:
-    stats = pstats.Stats(profiler, stream=io.StringIO())
-    rows = []
-    for func, (cc, nc, tt, ct, _callers) in stats.stats.items():
-        filename, lineno, name = func
-        rows.append({
-            "function": f"{filename.rsplit('/', 1)[-1]}:{lineno}:{name}",
-            "ncalls": nc,
-            "tottime": round(tt, 4),
-            "cumtime": round(ct, 4),
-        })
-    rows.sort(key=lambda r: r["tottime"], reverse=True)
-    return rows[:top]
 
 
 def run_scenario(name: str) -> Dict:
@@ -412,13 +369,11 @@ def run_obs_bench(quick: bool = False, reps: Optional[int] = None) -> Dict:
     return report
 
 
-def run_bench(quick: bool = False, profile: bool = True,
-              sweep: bool = False) -> Dict:
+def run_bench(quick: bool = False, sweep: bool = False) -> Dict:
     """Measure the selected scenarios; returns the report dict.
 
     ``sweep=True`` selects the campaign-amortization scenarios instead
-    of the engine ones (profiling is an engine-side concern and is
-    skipped there).
+    of the engine ones.
     """
     report: Dict = {"scenarios": {}}
     if sweep:
@@ -429,9 +384,6 @@ def run_bench(quick: bool = False, profile: bool = True,
     names = ["quick"] if quick else ["full", "quick"]
     for name in names:
         report["scenarios"][name] = run_scenario(name)
-    if profile:
-        ops, cores, dc_mb, _ = SCENARIOS["quick" if quick else "full"]
-        report["profile"] = _profile_phases(ops, cores, dc_mb)
     return report
 
 
@@ -508,8 +460,6 @@ def update_report(path: str, measured: Dict) -> Dict:
         base = block.get("baseline")
         if base and base.get("normalized"):
             block["speedup_normalized"] = entry["normalized"] / base["normalized"]
-    if "profile" in measured:
-        committed["profile"] = measured["profile"]
     if "obs_overhead_frac" in measured:
         committed["obs_overhead"] = {
             "frac": measured["obs_overhead_frac"],

@@ -198,12 +198,6 @@ def merge_cache_counts(dst: Dict[str, Dict[str, int]], src) -> None:
             bucket[k] = bucket.get(k, 0) + v
 
 
-def configure_cache(maxsize: int) -> None:
-    """Re-bound the memo cache (clears it)."""
-    global _CACHE
-    _CACHE = MemoCache(maxsize=maxsize)
-
-
 def clear_snapshot_cache() -> None:
     _SNAPSHOTS.clear()
 

@@ -2,13 +2,15 @@
 
 A scheme owns the whole memory side of the machine: per-core TLBs, page
 tables and walkers, the SRAM hierarchy, and both DRAM devices.  The core
-model talks to it through four methods:
+model uses two of its structures directly and three of its methods:
 
-* :meth:`tlb_lookup` -- synchronous TLB probe (None on miss),
+* ``tlbs[core_id].lookup`` -- synchronous TLB probe (None on miss),
+* :meth:`peek_translate` -- functional walk on a TLB miss; reports
+  whether the OS must intervene,
 * :meth:`translate_miss` -- asynchronous walk + scheme-specific OS work
   (this is where OS-managed schemes run their DC tag miss handlers),
 * :meth:`translate_addr` -- PTE + virtual address -> routed byte address,
-* :meth:`hierarchy_access` -- issue into L1/L2/L3; LLC misses call back
+* ``hierarchy.access`` -- issue into L1/L2/L3; LLC misses call back
   into the scheme's :meth:`dc_access`.
 
 Address routing: translated addresses carry ``DC_SPACE_BIT`` when they
@@ -124,9 +126,6 @@ class SchemeBase(Component):
 
     # -- core-facing API ---------------------------------------------------
 
-    def tlb_lookup(self, core_id: int, vpn: int) -> Optional[tuple]:
-        return self.tlbs[core_id].lookup(vpn)
-
     def peek_translate(self, core_id: int, vpn: int) -> tuple:
         """TLB-miss fast path: walk functionally and report whether the
         OS must intervene.
@@ -177,11 +176,6 @@ class SchemeBase(Component):
         if pte.cached:
             return DC_SPACE_BIT | (pte.page_frame_num << 12) | (addr & 4095)
         return (pte.page_frame_num << 12) | (addr & 4095)
-
-    def hierarchy_access(
-        self, access: MemAccess, now: int, on_complete: Callable[[int], None]
-    ) -> Optional[int]:
-        return self.hierarchy.access(access, now, on_complete)
 
     # -- hierarchy-facing API ----------------------------------------------
 

@@ -75,15 +75,6 @@ def test_contains_does_not_count():
     assert (c.hits, c.misses) == (hits, misses)
 
 
-def test_invalidate_matching():
-    c = small(ways=4, sets=4)
-    for k in range(8):
-        c.insert(k, k * 64)
-    removed = c.invalidate_matching(lambda k: k % 2 == 0)
-    assert sorted(l.key for l in removed) == [0, 2, 4, 6]
-    assert c.occupancy == 4
-
-
 def test_update_paddr():
     c = small()
     c.insert(1, 0x100)

@@ -36,7 +36,7 @@ def test_tag_miss_installs_cached_translation(tiny_cfg):
     sim, scheme = make(tiny_cfg)
     t, pte = translate(sim, scheme, 0, 3 * 4096)
     assert pte.cached
-    hit = scheme.tlb_lookup(0, 3)
+    hit = scheme.tlbs[0].lookup(3)
     assert hit is not None
 
 

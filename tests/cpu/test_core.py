@@ -21,8 +21,12 @@ class FakeScheme:
         self.tlb = set()
         self.issued = []
         self.walked = []
+        # The core binds tlbs[core_id].lookup and hierarchy.access; this
+        # one-core double plays both through lookup() and access() below.
+        self.tlbs = [self]
+        self.hierarchy = self
 
-    def tlb_lookup(self, core_id, vpn):
+    def lookup(self, vpn):
         if vpn in self.tlb:
             return ("pte", 0)
         return None
@@ -42,7 +46,7 @@ class FakeScheme:
     def translate_addr(self, pte, addr):
         return addr
 
-    def hierarchy_access(self, access, now, on_complete):
+    def access(self, access, now, on_complete):
         self.issued.append((access.addr, now))
         if access.addr in self.miss_addrs:
             finish = now + self.miss_latency

@@ -71,3 +71,14 @@ def test_events_processed_identical_in_guarded_loop(sim):
     assert sim.events_processed == 2
     assert sim.run() == 1
     assert sim.events_processed == 3
+    # A guarded, time-bounded run stops at ``until`` and leaves later
+    # events queued, exactly like the unguarded bounded loop.
+    for delay in (1, 2, 10):
+        sim.schedule(delay, lambda: None)
+    start = sim.now
+    assert sim.run(until=start + 5) == 2
+    assert sim.now == start + 5
+    assert sim.events_processed == 5
+    assert sim.pending_events == 1
+    assert sim.run() == 1
+    assert sim.events_processed == 6

@@ -10,6 +10,7 @@ from repro.guard.checkers import (
     check_frames,
     check_rob,
 )
+from repro.guard.core import queue_head
 from repro.harness.runner import RunConfig, _build, simulate
 
 
@@ -35,6 +36,30 @@ def test_event_queue_checker_catches_counter_drift(sim):
     sim._queue._live += 1
     problems = check_event_queue(sim)
     assert problems and "live counter" in problems[0]
+
+
+def test_queue_head_skips_cancelled_head_in_time_order(sim):
+    """A cancelled heap head must not expose heap-list order: the next
+    live event after cancelling t=1 is t=2, not t=5 at index 1."""
+
+    def a():
+        pass
+
+    def b():
+        pass
+
+    def c():
+        pass
+
+    first = sim.schedule(1, a)
+    sim.schedule(5, b)
+    sim.schedule(2, c)
+    first.cancel()
+    pending = sim.pending_events
+    assert queue_head(sim) == (2, 2, c.__qualname__)
+    assert sim.pending_events == pending  # read-only: nothing popped
+    sim.run()
+    assert queue_head(sim) is None
 
 
 def test_rob_checker_catches_negative_stores():

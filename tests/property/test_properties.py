@@ -65,7 +65,7 @@ def test_lru_victim_is_least_recent(refs):
         else:
             assert cache.insert(key, paddr=0) is None
         recency.append(key)
-    assert cache.insert("new", paddr=0).key == recency[0]
+    assert cache.insert(10, paddr=0).key == recency[0]
 
 
 # -- MSHR file -----------------------------------------------------------------

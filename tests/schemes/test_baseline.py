@@ -43,4 +43,4 @@ def test_translate_never_needs_os(tiny_cfg):
     pte, walk, needs_os = s.peek_translate(0, 7)
     assert not needs_os
     assert walk == tiny_cfg.tlb.walk_latency
-    assert s.tlb_lookup(0, 7) is not None  # installed by peek
+    assert s.tlbs[0].lookup(7) is not None  # installed by peek
