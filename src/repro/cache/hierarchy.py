@@ -207,20 +207,17 @@ class CacheHierarchy(Component):
         (the caller writes them to the DRAM cache before copying the page
         out, mirroring the paper's one-shot flush of aligned frames).
         """
-        dirty_addrs: List[int] = []
         base = (core_id << _CORE_SHIFT) | (vpn * LINES_PER_PAGE)
-        levels = (self.l1[core_id], self.l2[core_id], self.l3)
-        for key in range(base, base + LINES_PER_PAGE):
-            dirty = False
-            paddr = 0
-            for cache in levels:
-                line = cache.invalidate(key)
-                if line is not None:
-                    paddr = line.paddr
-                    dirty = dirty or line.dirty
-            if dirty:
-                dirty_addrs.append(paddr)
-        return dirty_addrs
+        # A line is dirty if any level's copy is; its address comes from
+        # the last level that holds it.
+        paddrs: Dict[int, int] = {}
+        dirty = set()
+        for cache in (self.l1[core_id], self.l2[core_id], self.l3):
+            for line in cache.invalidate_run(base, LINES_PER_PAGE):
+                paddrs[line.key] = line.paddr
+                if line.dirty:
+                    dirty.add(line.key)
+        return [paddrs[key] for key in sorted(dirty)]
 
     def retarget_page(self, core_id: int, vpn: int, new_page_base: int) -> None:
         """Point a page's cached lines at a new translated base address.

@@ -89,6 +89,18 @@ class SRAMCache(InlineState):
         """Remove ``key``; returns the line (caller handles dirty data)."""
         return self._sets[key % self.num_sets].pop(key, None)
 
+    def invalidate_run(self, first: int, count: int) -> List[CacheLine]:
+        """Remove keys ``first .. first + count - 1``; returns the lines
+        that were present, in key order (caller handles dirty data)."""
+        sets = self._sets
+        num_sets = self.num_sets
+        lines = []
+        for key in range(first, first + count):
+            line = sets[key % num_sets].pop(key, None)
+            if line is not None:
+                lines.append(line)
+        return lines
+
     def update_paddr(self, key: int, paddr: int) -> None:
         line = self._sets[key % self.num_sets].get(key)
         if line is not None:

@@ -5,13 +5,17 @@ Two routines manage cache frames FIFO over a circular free queue:
 * the **DC tag miss handler** (Algorithm 1) runs when a page walk finds a
   cacheable-but-uncached page: find a free frame from the head, offload a
   cache-fill command to the data manager (the NOMAD back-end; a blocking
-  copy engine for TDC; a no-op for Ideal), update the CPD/PTE/PPD tags,
-  and resume the thread;
+  copy engine for TDC; a no-op for Ideal), update the CPD, the frame's C
+  bit and the PTEs, and resume the thread;
 * the **background eviction daemon** (Algorithm 2) reclaims frames from
   the tail when free frames drop below a threshold: it skips TLB-resident
   frames (shootdown avoidance via the CPD TLB directory), flushes the
   victims' SRAM lines, offloads writebacks for dirty frames, and restores
   PTEs through the reverse map.
+
+The warmup fast-forward (:meth:`FrontEnd.warm_fills`) runs the same
+frame allocation and tag commit for a whole build's pages in one pass,
+at zero cost, with a functional stand-in for the daemon.
 
 The whole frame-management path is a critical section (one mutex); the
 observed tag-management latency therefore grows with contention, which is
@@ -197,32 +201,41 @@ class FrontEnd(Component):
             _with_mutex()
 
     def _commit_tags(self, core_id: int, vpn: int, pte: PTE, cfn: int) -> None:
-        """Tag management: CPD, PPD, and every mapping PTE (shared pages)."""
+        """Tag management: CPD, C bit, and every mapping PTE (shared pages)."""
         pfn = pte.page_frame_num
         cpd = self.cpds[cfn]
         cpd.valid = True
         cpd.pfn = pfn
         cpd.dirty_in_cache = False
         cpd.tlb_directory = 0
-        self.tables.ppd(pfn).cached = True
+        self.tables.cached[pfn] = 1
         for map_core, map_vpn in self.tables.reverse_map(pfn):
             mapped = self.page_tables[map_core].lookup(map_vpn)
             if mapped is not None:
                 mapped.page_frame_num = cfn
                 mapped.cached = True
 
-    def warm_fill(self, core_id: int, vpn: int, pte: PTE,
-                  dirty: bool = False) -> None:
-        """Zero-cost fill for the warmup fast-forward: allocate a frame
-        and commit tags without traffic, timing, or statistics."""
-        if self.free_queue.num_free <= self.eviction_threshold:
-            self._warm_evict(self.eviction_batch)
-        if self.free_queue.num_free <= 0:
-            return
-        cfn = self.free_queue.allocate(self.cpds)
-        self._commit_tags(core_id, vpn, pte, cfn)
-        if dirty:
-            self.cpds[cfn].dirty_in_cache = True
+    def warm_fills(self, pages, ptes) -> None:
+        """Zero-cost fills for the warmup fast-forward.
+
+        ``pages`` are ``(core, vpn, dirty)`` in warm order and ``ptes``
+        their PTEs.  Each page still uncached takes a frame and commits
+        its tags without traffic, timing, or statistics, evicting from
+        the tail first when the free count is at the threshold.
+        """
+        fq = self.free_queue
+        cpds = self.cpds
+        for (core_id, vpn, dirty), pte in zip(pages, ptes):
+            if not pte.is_tag_miss:
+                continue
+            if fq.num_free <= self.eviction_threshold:
+                self._warm_evict(self.eviction_batch)
+            if fq.num_free <= 0:
+                continue
+            cfn = fq.allocate(cpds)
+            self._commit_tags(core_id, vpn, pte, cfn)
+            if dirty:
+                cpds[cfn].dirty_in_cache = True
 
     def _warm_evict(self, n: int) -> None:
         fq = self.free_queue
@@ -334,7 +347,7 @@ class FrontEnd(Component):
             self.sim.schedule(cost, cont)
 
     def _restore_ptes(self, cpd) -> None:
-        self.tables.ppd(cpd.pfn).cached = False
+        self.tables.cached[cpd.pfn] = 0
         for map_core, map_vpn in self.tables.reverse_map(cpd.pfn):
             mapped = self.page_tables[map_core].lookup(map_vpn)
             if mapped is not None and mapped.cached and mapped.page_frame_num == cpd.cfn:

@@ -24,12 +24,12 @@ from repro.core.backend import Backend
 from repro.core.distributed import DistributedBackend
 from repro.core.frontend import FrontEnd
 from repro.engine.simulator import Simulator
-from repro.schemes.base import SchemeBase, is_dc_addr
+from repro.schemes.base import OSManagedScheme, is_dc_addr
 
 _DEMAND = TrafficClass.DEMAND
 
 
-class NomadScheme(SchemeBase):
+class NomadScheme(OSManagedScheme):
     """The paper's proposal."""
 
     scheme_name = "nomad"
@@ -71,30 +71,6 @@ class NomadScheme(SchemeBase):
         self._pcshr_lookup = nomad_cfg.pcshr_lookup_latency
         self._hbm_access = self.hbm.access
         self._ddr_access = self.ddr.access
-
-    # -- OS integration -----------------------------------------------------
-
-    def on_tlb_change(self, core_id, vpn, pte, installed) -> None:
-        self.frontend.tlb_changed(core_id, pte, installed)
-
-    def _needs_os_intervention(self, pte) -> bool:
-        return pte.is_tag_miss
-
-    def translate_miss(self, core_id, vpn, now, done, addr=0) -> None:
-        pte, walk = self.walkers[core_id].walk(vpn)
-        ready = now + walk
-
-        def _after_walk() -> None:
-            if pte.is_tag_miss:
-                self.frontend.handle_tag_miss(core_id, vpn, pte, addr, _install)
-            else:
-                _install(self.sim.now)
-
-        def _install(t: int) -> None:
-            self.tlbs[core_id].install(vpn, pte)
-            done(t, pte)
-
-        self.sim.schedule_at(ready, _after_walk)
 
     # -- DC access path (data-hit verification, Section III-D3) --------------
 
@@ -158,23 +134,10 @@ class NomadScheme(SchemeBase):
         else:
             self.hbm.access(hbm_addr, True, TrafficClass.DEMAND)
 
-    def _warm_cache_page(self, core_id, vpn, pte, dirty=False) -> None:
-        if pte.is_tag_miss:
-            self.frontend.warm_fill(core_id, vpn, pte, dirty=dirty)
-
     # -- reporting -----------------------------------------------------------
-
-    def tag_mgmt_latency_mean(self) -> float:
-        return self.frontend.stats.get("tag_mgmt_latency").mean
 
     def buffer_hit_ratio(self) -> float:
         return self.backend.buffer_hit_ratio()
-
-    def page_fills(self) -> int:
-        return self.frontend.stats.get("fills").value
-
-    def page_writebacks(self) -> int:
-        return self.frontend.stats.get("writeback_commands").value
 
 
 def _ideal_config() -> NomadConfig:

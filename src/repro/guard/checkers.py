@@ -230,6 +230,7 @@ def check_frames(frontend) -> List[str]:
             f"num_free={fq.num_free} outside [0, {fq.num_frames}]"
         )
     seen_pfns = {}
+    c_bits = frontend.tables.cached
     for cfn in range(len(cpds)):
         cpd = cpds[cfn]
         if not cpd.valid:
@@ -240,16 +241,13 @@ def check_frames(frontend) -> List[str]:
                 f"(cfn {seen_pfns[cpd.pfn]} and {cfn})"
             )
         seen_pfns[cpd.pfn] = cfn
-        try:
-            ppd = frontend.tables.ppd(cpd.pfn)
-        except KeyError:
+        if not 0 <= cpd.pfn < len(c_bits):
             problems.append(
                 f"cfn {cfn} caches unknown pfn {cpd.pfn}"
             )
-            continue
-        if not ppd.cached:
+        elif not c_bits[cpd.pfn]:
             problems.append(
-                f"cfn {cfn} caches pfn {cpd.pfn} but its PPD C bit is clear"
+                f"cfn {cfn} caches pfn {cpd.pfn} but its C bit is clear"
             )
     return problems
 

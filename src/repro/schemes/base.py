@@ -8,7 +8,8 @@ model uses two of its structures directly and three of its methods:
 * :meth:`peek_translate` -- functional walk on a TLB miss; reports
   whether the OS must intervene,
 * :meth:`translate_miss` -- asynchronous walk + scheme-specific OS work
-  (this is where OS-managed schemes run their DC tag miss handlers),
+  (this is where OS-managed schemes, :class:`OSManagedScheme`, run
+  their DC tag miss handlers),
 * :meth:`translate_addr` -- PTE + virtual address -> routed byte address,
 * ``hierarchy.access`` -- issue into L1/L2/L3; LLC misses call back
   into the scheme's :meth:`dc_access`.
@@ -28,7 +29,7 @@ from repro.config.system import SystemConfig
 from repro.dram.device import DRAMDevice
 from repro.engine.simulator import Component, Simulator
 from repro.vm.descriptors import DescriptorTables
-from repro.vm.page_table import PTE, PageTable
+from repro.vm.page_table import PTE, PageTable, touch_pages
 from repro.vm.tlb import TLB
 from repro.vm.walker import PageWalker
 
@@ -228,17 +229,19 @@ class SchemeBase(Component):
 
     # -- warmup (the paper's fast-forward region) ---------------------------
 
-    def warm_page(self, core_id: int, vpn: int, dirty: bool = False) -> None:
-        """Functionally touch a page at zero cost: allocate its frame and
-        let the scheme pre-cache it (used to warm the DC before timing).
-        ``dirty`` marks the frame dirty-in-cache so steady-state eviction
-        produces writeback traffic."""
-        pte = self.page_tables[core_id].get_or_create(vpn)
-        self._warm_cache_page(core_id, vpn, pte, dirty)
+    def warm_pages(self, pages) -> None:
+        """Functionally touch pages at zero cost: allocate their frames
+        and let the scheme pre-cache them (used to warm the DC before
+        timing).
 
-    def _warm_cache_page(self, core_id: int, vpn: int, pte: PTE,
-                         dirty: bool = False) -> None:
-        """Scheme hook: bring the page into the DRAM cache state."""
+        ``pages`` is one ordered list of ``(core, vpn, dirty)``; a page's
+        ``dirty`` marks it dirty in the cache so steady-state eviction
+        produces writeback traffic.
+        """
+        self._warm_fills(pages, touch_pages(self.page_tables, pages))
+
+    def _warm_fills(self, pages, ptes) -> None:
+        """Scheme hook: bring the touched pages into the DRAM cache."""
 
     # -- reporting ---------------------------------------------------------
 
@@ -268,3 +271,48 @@ class SchemeBase(Component):
 
     def page_writebacks(self) -> int:
         return self._writebacks.value
+
+
+class OSManagedScheme(SchemeBase):
+    """A scheme whose DC tags the OS keeps in the PTEs.
+
+    Subclasses build ``self.frontend`` (a
+    :class:`~repro.core.frontend.FrontEnd` over their data manager) and
+    attach it to the TLBs.  A page walk that finds a cacheable-but-uncached
+    page runs the front-end's tag miss handler before the translation is
+    installed, and the warmup hands every page to the front-end.
+    """
+
+    def on_tlb_change(self, core_id, vpn, pte, installed) -> None:
+        self.frontend.tlb_changed(core_id, pte, installed)
+
+    def _needs_os_intervention(self, pte) -> bool:
+        return pte.is_tag_miss
+
+    def translate_miss(self, core_id, vpn, now, done, addr=0) -> None:
+        pte, walk = self.walkers[core_id].walk(vpn)
+        ready = now + walk
+
+        def _after_walk() -> None:
+            if pte.is_tag_miss:
+                self.frontend.handle_tag_miss(core_id, vpn, pte, addr, _install)
+            else:
+                _install(self.sim.now)
+
+        def _install(t: int) -> None:
+            self.tlbs[core_id].install(vpn, pte)
+            done(t, pte)
+
+        self.sim.schedule_at(ready, _after_walk)
+
+    def _warm_fills(self, pages, ptes) -> None:
+        self.frontend.warm_fills(pages, ptes)
+
+    def tag_mgmt_latency_mean(self) -> float:
+        return self.frontend.stats.get("tag_mgmt_latency").mean
+
+    def page_fills(self) -> int:
+        return self.frontend.stats.get("fills").value
+
+    def page_writebacks(self) -> int:
+        return self.frontend.stats.get("writeback_commands").value

@@ -17,7 +17,7 @@ from repro.common.types import DC_SPACE_BIT, MemAccess, TrafficClass
 from repro.config.system import SystemConfig
 from repro.core.frontend import DataManager, FrontEnd
 from repro.engine.simulator import Simulator
-from repro.schemes.base import SchemeBase, is_dc_addr
+from repro.schemes.base import OSManagedScheme, is_dc_addr
 
 class TeleportDataManager(DataManager):
     """Fills and writebacks that cost nothing and move nothing."""
@@ -37,7 +37,7 @@ class TeleportDataManager(DataManager):
         on_offloaded()
 
 
-class UnthrottledScheme(SchemeBase):
+class UnthrottledScheme(OSManagedScheme):
     """Traffic-free OS-managed cache for Table I characterization."""
 
     scheme_name = "unthrottled"
@@ -60,30 +60,6 @@ class UnthrottledScheme(SchemeBase):
         )
         self.frontend.attach_tlbs(self.tlbs)
 
-    def on_tlb_change(self, core_id, vpn, pte, installed) -> None:
-        self.frontend.tlb_changed(core_id, pte, installed)
-
-    def _needs_os_intervention(self, pte) -> bool:
-        return pte.is_tag_miss
-
-    def translate_miss(self, core_id, vpn, now, done, addr=0) -> None:
-        pte, walk = self.walkers[core_id].walk(vpn)
-        ready = now + walk
-
-        def _after_walk() -> None:
-            if pte.is_tag_miss:
-                self.frontend.handle_tag_miss(
-                    core_id, vpn, pte, addr, _install
-                )
-            else:
-                _install(self.sim.now)
-
-        def _install(t: int) -> None:
-            self.tlbs[core_id].install(vpn, pte)
-            done(t, pte)
-
-        self.sim.schedule_at(ready, _after_walk)
-
     def dc_access(self, access: MemAccess, fill_cb: Callable[[int], None]) -> None:
         start = self.sim.now
         paddr = access.paddr if access.paddr is not None else access.addr
@@ -102,16 +78,3 @@ class UnthrottledScheme(SchemeBase):
                 paddr, access.is_write, TrafficClass.DEMAND,
                 callback=lambda: fill_cb(self.sim.now),
             )
-
-    def _warm_cache_page(self, core_id, vpn, pte, dirty=False) -> None:
-        if pte.is_tag_miss:
-            self.frontend.warm_fill(core_id, vpn, pte, dirty=dirty)
-
-    def page_fills(self) -> int:
-        return self.frontend.stats.get("fills").value
-
-    def page_writebacks(self) -> int:
-        return self.frontend.stats.get("writeback_commands").value
-
-    def tag_mgmt_latency_mean(self) -> float:
-        return self.frontend.stats.get("tag_mgmt_latency").mean

@@ -26,7 +26,7 @@ from repro.config.system import SystemConfig
 from repro.core.frontend import DataManager, FrontEnd
 from repro.dram.device import DRAMDevice
 from repro.engine.simulator import Simulator
-from repro.schemes.base import SchemeBase, is_dc_addr
+from repro.schemes.base import OSManagedScheme, is_dc_addr
 
 _DEMAND = TrafficClass.DEMAND
 _PAGE_SUBS = range(SUB_BLOCKS_PER_PAGE)
@@ -100,7 +100,7 @@ class BlockingCopyManager(DataManager):
         return cfn in self._busy_fills
 
 
-class TDCScheme(SchemeBase):
+class TDCScheme(OSManagedScheme):
     """Blocking OS-managed (tagless) DRAM cache."""
 
     scheme_name = "tdc"
@@ -132,30 +132,6 @@ class TDCScheme(SchemeBase):
         self._hbm_access = self.hbm.access
         self._ddr_access = self.ddr.access
 
-    def on_tlb_change(self, core_id, vpn, pte, installed) -> None:
-        self.frontend.tlb_changed(core_id, pte, installed)
-
-    def _needs_os_intervention(self, pte) -> bool:
-        return pte.is_tag_miss
-
-    def translate_miss(self, core_id, vpn, now, done, addr=0) -> None:
-        pte, walk = self.walkers[core_id].walk(vpn)
-        ready = now + walk
-
-        def _after_walk() -> None:
-            if pte.is_tag_miss:
-                self.frontend.handle_tag_miss(
-                    core_id, vpn, pte, addr, _install
-                )
-            else:
-                _install(self.sim.now)
-
-        def _install(t: int) -> None:
-            self.tlbs[core_id].install(vpn, pte)
-            done(t, pte)
-
-        self.sim.schedule_at(ready, _after_walk)
-
     def dc_access(self, access: MemAccess, fill_cb: Callable[[int], None]) -> None:
         """Tag hits guarantee data hits: the DC access goes straight in."""
         start = self.sim.now
@@ -184,18 +160,3 @@ class TDCScheme(SchemeBase):
             self.hbm.access(hbm_addr, True, TrafficClass.DEMAND)
         else:
             self.ddr.access(paddr, True, TrafficClass.DEMAND)
-
-    def _warm_cache_page(self, core_id, vpn, pte, dirty=False) -> None:
-        if pte.is_tag_miss:
-            self.frontend.warm_fill(core_id, vpn, pte, dirty=dirty)
-
-    # -- reporting --------------------------------------------------------
-
-    def tag_mgmt_latency_mean(self) -> float:
-        return self.frontend.stats.get("tag_mgmt_latency").mean
-
-    def page_fills(self) -> int:
-        return self.frontend.stats.get("fills").value
-
-    def page_writebacks(self) -> int:
-        return self.frontend.stats.get("writeback_commands").value

@@ -14,7 +14,6 @@ LLC as soon as it arrives from off-package memory.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.mshr import MSHRFile
@@ -27,26 +26,30 @@ from repro.schemes.base import SchemeBase
 
 
 class TiDTagArray(InlineState):
-    """Set-associative tag state with way assignment and LRU."""
+    """Set-associative tag state with way assignment and LRU.
+
+    Each set is a plain dict ``line_id -> record`` whose insertion order
+    is the LRU order (front = victim; a touch re-inserts the line at the
+    back, as in :class:`~repro.cache.sram_cache.SRAMCache`).  A record
+    is one int, ``way << 1 | dirty``, so a warmed 64 MB cache holds no
+    object per line.
+    """
 
     def __init__(self, num_sets: int, ways: int):
         self.num_sets = num_sets
         self.ways = ways
-        # Per set: line_id -> (way, dirty); insertion order tracks LRU
-        # (entries are re-inserted on touch).
-        self._sets: List["OrderedDict[int, list]"] = [
-            OrderedDict() for _ in range(num_sets)
-        ]
+        self._sets: List[Dict[int, int]] = [{} for _ in range(num_sets)]
 
     def set_of(self, line_id: int) -> int:
         return line_id % self.num_sets
 
-    def lookup(self, line_id: int, touch: bool = True) -> Optional[list]:
-        """Returns the ``[way, dirty]`` record or None."""
-        s = self._sets[self.set_of(line_id)]
+    def lookup(self, line_id: int, touch: bool = True) -> Optional[int]:
+        """Returns the ``way << 1 | dirty`` record or None."""
+        s = self._sets[line_id % self.num_sets]
         rec = s.get(line_id)
         if rec is not None and touch:
-            s.move_to_end(line_id)
+            del s[line_id]
+            s[line_id] = rec
         return rec
 
     def allocate(self, line_id: int) -> Tuple[int, Optional[Tuple[int, int, bool]]]:
@@ -55,25 +58,45 @@ class TiDTagArray(InlineState):
         Returns ``(way, victim)`` where victim is ``(line_id, way, dirty)``
         or None when a way was free.
         """
-        s = self._sets[self.set_of(line_id)]
+        s = self._sets[line_id % self.num_sets]
         if line_id in s:
             raise KeyError(f"line {line_id} already present")
-        victim = None
-        if len(s) >= self.ways:
-            victim_id, (victim_way, victim_dirty) = s.popitem(last=False)
-            victim = (victim_id, victim_way, victim_dirty)
-            way = victim_way
-        else:
-            # A set only loses a way when replacement refills that same
-            # slot, so a set of n lines holds exactly ways 0..n-1.
-            way = len(s)
-        s[line_id] = [way, False]
+        way, victim = self._place(s)
+        s[line_id] = way << 1
         return way, victim
 
+    def _place(self, s: Dict[int, int]) -> Tuple[int, Optional[Tuple[int, int, bool]]]:
+        """The way a new line takes in set ``s``, evicting its LRU line
+        when the set is full."""
+        if len(s) < self.ways:
+            # A set only loses a way when replacement refills that same
+            # slot, so a set of n lines holds exactly ways 0..n-1.
+            return len(s), None
+        victim_id = next(iter(s))
+        rec = s.pop(victim_id)
+        return rec >> 1, (victim_id, rec >> 1, bool(rec & 1))
+
     def mark_dirty(self, line_id: int) -> None:
-        rec = self.lookup(line_id, touch=False)
+        s = self._sets[line_id % self.num_sets]
+        rec = s.get(line_id)
         if rec is not None:
-            rec[1] = True
+            s[line_id] = rec | 1
+
+    def fill(self, line_ids, dirty: bool) -> None:
+        """Install lines without traffic (the warmup fast-forward).
+
+        An absent line takes a way as :meth:`allocate` would, its victim
+        dropped unwritten; a present line keeps its LRU position.  With
+        ``dirty`` every line ends up dirty.
+        """
+        sets = self._sets
+        num_sets = self.num_sets
+        for line_id in line_ids:
+            s = sets[line_id % num_sets]
+            rec = s.get(line_id)
+            if rec is None:
+                rec = self._place(s)[0] << 1
+            s[line_id] = rec | dirty
 
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
@@ -153,10 +176,9 @@ class TiDScheme(SchemeBase):
         if rec is not None and line_id not in self._active:
             # DC hit: the data burst follows the tag in the open row.
             self._dc_hits.inc()
-            way = rec[0]
             if access.is_write:
-                rec[1] = True
-            data_addr = self._hbm_line_base(line_id, way) + (
+                self.tags.mark_dirty(line_id)
+            data_addr = self._hbm_line_base(line_id, rec >> 1) + (
                 (paddr >> 6) % self._sub_per_line
             ) * 64
 
@@ -189,7 +211,7 @@ class TiDScheme(SchemeBase):
             # The line landed while the tag read was in flight: serve it.
             self._dc_hits.inc()
             if access.is_write:
-                rec[1] = True
+                self.tags.mark_dirty(line_id)
 
             def _late_hit() -> None:
                 end = self.sim.now
@@ -197,7 +219,7 @@ class TiDScheme(SchemeBase):
                 fill_cb(end)
 
             self.hbm.access(
-                self._hbm_line_base(line_id, rec[0]) + sub * 64,
+                self._hbm_line_base(line_id, rec >> 1) + sub * 64,
                 access.is_write,
                 TrafficClass.DEMAND,
                 callback=_late_hit,
@@ -320,10 +342,10 @@ class TiDScheme(SchemeBase):
         line_id = self._line_id(paddr)
         rec = self.tags.lookup(line_id, touch=False)
         if rec is not None:
-            rec[1] = True
+            self.tags.mark_dirty(line_id)
             sub = (paddr >> 6) % self._sub_per_line
             self.hbm.access(
-                self._hbm_line_base(line_id, rec[0]) + sub * 64,
+                self._hbm_line_base(line_id, rec >> 1) + sub * 64,
                 True,
                 TrafficClass.DEMAND,
             )
@@ -331,15 +353,14 @@ class TiDScheme(SchemeBase):
         else:
             self.ddr.access(paddr, True, TrafficClass.DEMAND)
 
-    def _warm_cache_page(self, core_id, vpn, pte, dirty=False) -> None:
-        """Pre-install the page's 1 KB lines in the tag array."""
-        base_line = (pte.page_frame_num * 4096) >> self._line_shift
-        lines_per_page = 4096 // self.tid_cfg.line_size
-        for i in range(lines_per_page):
-            if self.tags.lookup(base_line + i, touch=False) is None:
-                self.tags.allocate(base_line + i)
-            if dirty:
-                self.tags.mark_dirty(base_line + i)
+    def _warm_fills(self, pages, ptes) -> None:
+        """Pre-install every page's 1 KB lines in the tag array."""
+        shift = self._line_shift
+        lines_per_page = 4096 >> shift
+        fill = self.tags.fill
+        for (_core, _vpn, dirty), pte in zip(pages, ptes):
+            base = (pte.page_frame_num << 12) >> shift
+            fill(range(base, base + lines_per_page), dirty)
 
     # -- reporting ----------------------------------------------------------------
 

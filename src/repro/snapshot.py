@@ -34,7 +34,7 @@ from typing import Dict, Optional
 # Bump whenever the pickled machine layout changes incompatibly (new
 # component state, changed __reduce__ forms, ...).  Machine.restore
 # refuses blobs stamped with any other version.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 # RunConfig fields that only affect the ROI (the run itself), not the
 # built+prewarmed machine state.  Everything else is build-affecting and

@@ -112,19 +112,22 @@ class Machine(InlineState):
 
         Entries are bare VPNs or ``(vpn, dirty)`` pairs.  Cores are
         interleaved so the FIFO frame queue ends up age-mixed across
-        cores, as it would be in steady state.
+        cores, as it would be in steady state; the scheme warms the
+        interleaved ``(core, vpn, dirty)`` list in one pass.
         """
+        pages = []
         longest = max((len(p) for p in core_pages), default=0)
         for i in range(longest):
-            for core_id, pages in enumerate(core_pages):
-                if i >= len(pages):
+            for core_id, plan in enumerate(core_pages):
+                if i >= len(plan):
                     continue
-                entry = pages[i]
+                entry = plan[i]
                 if isinstance(entry, tuple):
                     vpn, dirty = entry
                 else:
                     vpn, dirty = entry, False
-                self.scheme.warm_page(core_id, vpn, dirty=dirty)
+                pages.append((core_id, vpn, dirty))
+        self.scheme.warm_pages(pages)
 
     # -- snapshot / fork ---------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Physical and cache page descriptors (paper Fig. 4) and reverse maps.
 
-* PPD -- per physical frame: conventional flags plus the appended
-  cached (C) and non-cacheable (NC) bits.
+* C bits -- per physical frame, the appended cached (C) bit of its page
+  descriptor, one byte per PFN in :attr:`DescriptorTables.cached`.  The
+  NC bit lives in the PTE, the only place the page walker reads it.
 * CPD -- per cache frame: valid (V), dirty-in-cache (DC), the PFN the
   frame caches (for PTE restoration at eviction), and a TLB directory
   bitmask used for TLB-shootdown avoidance (the eviction daemon skips
@@ -9,30 +10,19 @@
 * Reverse mappings -- PFN -> [(core, vpn)] so the eviction daemon can
   restore every PTE that maps an evicted frame (shared-page support,
   Section III-G).
+
+A frame's C bit and reverse map are flat entries of two PFN-indexed
+containers rather than an object per frame: a machine snapshot pickles
+and every fork unpickles all of them, and the object count is what
+that costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.common.inline_state import InlineState
-
-
-@dataclass(slots=True)
-class PPD:
-    """Physical page descriptor."""
-
-    pfn: int
-    cached: bool = False  # C bit
-    non_cacheable: bool = False  # NC bit
-    dirty: bool = False
-
-    def __reduce__(self):
-        # Machine snapshots pickle one PPD per allocated frame; the
-        # positional form is several times cheaper than the generic
-        # slots protocol (see PTE.__reduce__).
-        return (PPD, (self.pfn, self.cached, self.non_cacheable, self.dirty))
 
 
 @dataclass(slots=True)
@@ -68,37 +58,41 @@ class CPD:
 
 
 class DescriptorTables(InlineState):
-    """The OS's frame bookkeeping: PFN allocator, PPD array, reverse map."""
+    """The OS's frame bookkeeping: PFN allocator, C bits, reverse map.
+
+    PFNs are handed out densely from 0, so both per-frame containers
+    are indexed by PFN.
+    """
 
     def __init__(self):
-        self._next_pfn = 0
-        self._ppds: Dict[int, PPD] = {}
-        self._rmap: Dict[int, List[Tuple[int, int]]] = {}
+        #: The C bit of every allocated PFN (1 while the DC caches it).
+        self.cached = bytearray()
+        # Per PFN, its mappings as one flat tuple (core, vpn, core, vpn, ...).
+        self._rmap: List[Tuple[int, ...]] = []
 
     def allocate(self, core_id: int, vpn: int) -> int:
         """Allocate a fresh physical frame mapped by ``(core, vpn)``."""
-        pfn = self._next_pfn
-        self._next_pfn += 1
-        self._ppds[pfn] = PPD(pfn)
-        self._rmap[pfn] = [(core_id, vpn)]
+        pfn = len(self._rmap)
+        self._rmap.append((core_id, vpn))
+        self.cached.append(0)
         return pfn
 
     def share(self, pfn: int, core_id: int, vpn: int) -> None:
         """Add another mapping to an existing frame (shared pages)."""
-        if pfn not in self._ppds:
+        if not 0 <= pfn < len(self._rmap):
             raise KeyError(f"PFN {pfn} was never allocated")
-        self._rmap[pfn].append((core_id, vpn))
-
-    def ppd(self, pfn: int) -> PPD:
-        return self._ppds[pfn]
+        self._rmap[pfn] += (core_id, vpn)
 
     def reverse_map(self, pfn: int) -> List[Tuple[int, int]]:
         """All (core, vpn) pairs whose PTEs map ``pfn``."""
-        return list(self._rmap.get(pfn, ()))
+        if not 0 <= pfn < len(self._rmap):
+            return []
+        flat = self._rmap[pfn]
+        return list(zip(flat[::2], flat[1::2]))
 
     @property
     def frames_allocated(self) -> int:
-        return self._next_pfn
+        return len(self._rmap)
 
 
 class CPDArray(InlineState):

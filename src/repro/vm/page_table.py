@@ -10,8 +10,8 @@ any other structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.inline_state import InlineState
 
@@ -79,3 +79,10 @@ class PageTable(InlineState):
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def touch_pages(page_tables: Sequence[PageTable], pages) -> List[PTE]:
+    """:meth:`PageTable.get_or_create` for every ``(core, vpn, dirty)``
+    of ``pages``, in order, so first touches allocate frames in that
+    order; returns the PTEs in the same order."""
+    return [page_tables[core_id].get_or_create(vpn) for core_id, vpn, _ in pages]

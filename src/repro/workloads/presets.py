@@ -136,7 +136,7 @@ _WARM_FILL_FRACTION = 1.0
 def warm_plan(spec: WorkloadSpec, dc_share_pages: int) -> List[tuple]:
     """The paper's fast-forward warmup as ``(vpn, dirty)`` pairs.
 
-    Fills ~94% of the core's DC share: streaming workloads get the pages
+    Fills the core's whole DC share: streaming workloads get the pages
     just behind the stream start (their live reuse window plus FIFO
     history); reuse workloads get their hot set plus dead filler pages.
     Dirty bits are assigned deterministically at the workload's store

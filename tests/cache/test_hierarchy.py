@@ -131,6 +131,26 @@ def test_invalidate_page_returns_dirty_line_addrs(sim, tiny_cfg):
     assert dirty == [9 * 4096]
 
 
+def test_invalidate_page_merges_levels_per_line(sim, tiny_cfg):
+    """A line is dirty if any level's copy is, takes its address from the
+    last level holding it, and dirty addresses come back in key order."""
+    h, _, _ = make(sim, tiny_cfg)
+    base = line_key(1, 3 * 4096)
+    l1, l2, l3 = h.l1[1], h.l2[1], h.l3
+    l3.insert(base + 40, 0xD3, dirty=True)   # L3 only, dirty
+    l2.insert(base + 20, 0xC2)               # clean everywhere
+    l3.insert(base + 20, 0xC3)
+    l1.insert(base + 7, 0xB1, dirty=True)    # dirty in L1, address from L3
+    l3.insert(base + 7, 0xB3)
+    l1.insert(base + 2, 0xA1)                # dirty in L2 only
+    l2.insert(base + 2, 0xA2, dirty=True)
+    l1.insert(base + LINES_PER_PAGE, 0xE1, dirty=True)  # next page
+    assert h.invalidate_page(1, 3) == [0xA2, 0xB3, 0xD3]
+    assert all(not c.contains(base + k) for c in (l1, l2, l3)
+               for k in (2, 7, 20, 40))
+    assert l1.contains(base + LINES_PER_PAGE)
+
+
 def test_retarget_page_changes_writeback_target(sim, tiny_cfg):
     h, _, wbs = make(sim, tiny_cfg)
     h.access(store(0, 5 * 4096), 0, lambda t: None)

@@ -66,6 +66,18 @@ def test_invalidate_missing_returns_none():
     assert c.invalidate(99) is None
 
 
+def test_invalidate_run_pops_present_keys_in_key_order():
+    c = small(ways=2, sets=4)
+    for key in (13, 9, 4, 11):  # 12 never filled, 4 outside the run
+        c.insert(key, key << 6, dirty=key == 11)
+    lines = c.invalidate_run(9, 5)
+    assert [(l.key, l.paddr, l.dirty) for l in lines] == [
+        (9, 9 << 6, False), (11, 11 << 6, True), (13, 13 << 6, False),
+    ]
+    assert [c.contains(k) for k in (4, 9, 11, 13)] == [True, False, False, False]
+    assert c.invalidate_run(9, 5) == []
+
+
 def test_contains_does_not_count():
     c = small()
     c.insert(1, 0)

@@ -9,7 +9,7 @@ from repro.config.system import scaled_system
 from repro.core.frontend import DataManager, FrontEnd
 from repro.dram.device import DRAMDevice
 from repro.vm.descriptors import DescriptorTables
-from repro.vm.page_table import PageTable
+from repro.vm.page_table import PageTable, touch_pages
 from repro.vm.tlb import TLB
 
 
@@ -76,7 +76,7 @@ def test_tag_miss_updates_pte_and_cpd(sim):
     cpd = w.fe.cpds[cfn]
     assert cpd.valid
     assert w.tables.reverse_map(cpd.pfn) == [(0, 5)]
-    assert w.tables.ppd(cpd.pfn).cached
+    assert w.tables.cached[cpd.pfn]
     assert w.manager.fills == [(cfn, cpd.pfn, 0)]
 
 
@@ -130,8 +130,7 @@ def test_eviction_restores_pte(sim):
     evicted = [p for p in ptes if not p.cached]
     assert evicted, "daemon should have evicted something"
     for p in evicted:
-        ppd = w.tables.ppd(p.page_frame_num)
-        assert not ppd.cached
+        assert not w.tables.cached[p.page_frame_num]
 
 
 def test_eviction_skips_tlb_resident(sim):
@@ -197,18 +196,27 @@ def test_shared_page_updates_all_mappings(sim):
     assert pte0.page_frame_num == pte1.page_frame_num
 
 
+def warm(w, pages):
+    ptes = touch_pages(w.page_tables, pages)
+    w.fe.warm_fills(pages, ptes)
+    return ptes
+
+
 def test_warm_fill_zero_cost(sim):
     w = World(sim)
-    pte = w.page_tables[0].get_or_create(3)
-    w.fe.warm_fill(0, 3, pte)
+    (pte,) = warm(w, [(0, 3, True)])
     assert pte.cached
+    assert w.fe.cpds[pte.page_frame_num].dirty_in_cache
     assert sim.now == 0
     assert w.fe.stats.get("fills").value == 0  # not a timed fill
 
 
 def test_warm_fill_evicts_when_needed(sim):
     w = World(sim, num_frames=4, threshold=2, batch=2)
-    ptes = [w.page_tables[0].get_or_create(v) for v in range(4)]
-    for v, p in enumerate(ptes):
-        w.fe.warm_fill(0, v, p)
-    assert sum(p.cached for p in ptes) < 4 or w.fe.free_queue.num_free > 0
+    ptes = warm(w, [(0, v, False) for v in range(4)])
+    # The third page finds the free count at the threshold: the tail's
+    # two frames are evicted and the page takes the next frame.
+    assert [p.cached for p in ptes] == [False, False, True, True]
+    assert [p.page_frame_num for p in ptes] == [0, 1, 2, 3]
+    fq = w.fe.free_queue
+    assert (fq.num_free, fq.head, fq.tail) == (2, 0, 2)

@@ -91,6 +91,39 @@ def test_frame_checker_counts_frames_mid_fill():
     assert guard.checks_run > 2000
 
 
+def _valid_cfns(frontend):
+    cpds = frontend.cpds
+    return [cfn for cfn in range(len(cpds)) if cpds[cfn].valid]
+
+
+def test_frame_checker_catches_pfn_in_two_frames():
+    frontend = _machine().scheme.frontend
+    a, b = _valid_cfns(frontend)[:2]
+    pfn = frontend.cpds[a].pfn
+    frontend.cpds[b].pfn = pfn
+    assert check_frames(frontend) == [
+        f"pfn {pfn} cached in two frames (cfn {a} and {b})"
+    ]
+
+
+def test_frame_checker_catches_unknown_pfn():
+    frontend = _machine().scheme.frontend
+    cfn = _valid_cfns(frontend)[0]
+    pfn = frontend.tables.frames_allocated
+    frontend.cpds[cfn].pfn = pfn
+    assert check_frames(frontend) == [f"cfn {cfn} caches unknown pfn {pfn}"]
+
+
+def test_frame_checker_catches_clear_c_bit():
+    frontend = _machine().scheme.frontend
+    cfn = _valid_cfns(frontend)[-1]
+    pfn = frontend.cpds[cfn].pfn
+    frontend.tables.cached[pfn] = 0
+    assert check_frames(frontend) == [
+        f"cfn {cfn} caches pfn {pfn} but its C bit is clear"
+    ]
+
+
 def test_bank_checker_catches_closed_row_with_timing():
     machine = _machine()
     device = machine.scheme.hbm

@@ -67,7 +67,7 @@ def test_dc_writeback_marks_dirty(tiny_cfg):
 
 def test_warm_page(tiny_cfg):
     sim, s = make(tiny_cfg)
-    s.warm_page(0, 9)
+    s.warm_pages([(0, 9, False)])
     pte = s.page_tables[0].lookup(9)
     assert pte.cached
     assert s.page_fills() == 0  # warm fills are unmetered

@@ -27,7 +27,7 @@ def test_tag_array_allocate_and_lookup():
     t = TiDTagArray(num_sets=4, ways=2)
     way, victim = t.allocate(0)
     assert victim is None
-    assert t.lookup(0) == [way, False]
+    assert t.lookup(0) == way << 1  # clean
 
 
 def test_tag_array_lru_victim():
@@ -129,7 +129,7 @@ def test_llc_writeback_to_present_line(tiny_cfg):
     sim.run()
     s.dc_writeback(0x4000)
     rec = s.tags.lookup(s._line_id(0x4000), touch=False)
-    assert rec[1]  # dirty
+    assert rec & 1  # dirty
 
 
 def test_llc_writeback_to_absent_line_goes_ddr(tiny_cfg):
@@ -141,11 +141,12 @@ def test_llc_writeback_to_absent_line_goes_ddr(tiny_cfg):
 
 def test_warm_page_preinstalls_lines(tiny_cfg):
     sim, s = make(tiny_cfg)
-    s.warm_page(0, 2)
-    pte = s.page_tables[0].lookup(2)
-    base_line = (pte.page_frame_num * 4096) >> 10
-    for i in range(4):
-        assert s.tags.lookup(base_line + i, touch=False) is not None
+    s.warm_pages([(0, 2, False), (1, 2, True)])
+    for core, dirty in ((0, 0), (1, 1)):
+        pte = s.page_tables[core].lookup(2)
+        base_line = (pte.page_frame_num * 4096) >> 10
+        for i in range(4):
+            assert s.tags.lookup(base_line + i, touch=False) & 1 == dirty
 
 
 def test_fill_bytes_uses_line_size(tiny_cfg):

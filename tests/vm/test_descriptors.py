@@ -1,16 +1,17 @@
-"""PPDs, CPDs, TLB directory, reverse mappings."""
+"""C bits, CPDs, TLB directory, reverse mappings."""
 
 import pytest
 
 from repro.vm.descriptors import CPD, CPDArray, DescriptorTables
 
 
-def test_allocate_creates_ppd_and_rmap():
+def test_allocate_creates_clear_c_bit_and_rmap():
     t = DescriptorTables()
     pfn = t.allocate(0, 42)
-    assert t.ppd(pfn).pfn == pfn
+    assert t.cached[pfn] == 0
     assert t.reverse_map(pfn) == [(0, 42)]
     assert t.frames_allocated == 1
+    assert t.allocate(1, 42) == pfn + 1
 
 
 def test_share_extends_rmap():
