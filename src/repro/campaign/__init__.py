@@ -7,9 +7,10 @@ every figure" workflow into infrastructure:
   that expand to :class:`RunConfig` lists in a deterministic order;
 * :class:`ResultStore` -- a content-addressed on-disk cache of
   :class:`MachineResult`, shared across processes and sessions;
-* :func:`run_campaign` -- serial or ``ProcessPoolExecutor`` execution
-  with stall-watchdog timeouts, bounded retry of crashed/hung workers,
-  and a completed/cached/failed summary instead of all-or-nothing;
+* :func:`run_campaign` -- one task plan and one task function, run in
+  this process or over a ``ProcessPoolExecutor`` with stall-watchdog
+  timeouts and bounded retry of crashed/hung workers, and a
+  completed/cached/failed summary instead of all-or-nothing;
 * :func:`map_with_retries` -- the generic robustness layer underneath.
 
 ``python -m repro sweep`` is the CLI front door; ``run_matrix`` and the

@@ -7,17 +7,22 @@ the figure experiments all submit here.  It
 1. expands the :class:`GridSpec` (or accepts an explicit config list),
 2. skips configs the :class:`ResultStore` has quarantined, then serves
    what it can from the in-process memo cache and the store,
-3. runs the remainder serially (``jobs <= 1``) or over a fault-tolerant
-   process pool (``jobs > 1``), with per-campaign stall timeout and
-   bounded retry of crashed/hung workers,
-4. merges results back in grid order and reports a
+3. plans the remainder into tasks once (:func:`_plan_batches`: one run,
+   or a batch of runs sharing a machine-snapshot key) and runs every
+   task through the one task function :func:`_simulate_payload` -- in
+   this process when ``jobs <= 1`` or only one config is pending, else
+   over a fault-tolerant process pool with a stall timeout and bounded
+   retry of crashed/hung workers,
+4. folds the task outcomes into records (the guarded confirmation pass
+   goes through the same mapper and the same fold), priming the memo
+   cache and the store once per unguarded result, and reports a
    :class:`CampaignSummary` (completed/cached/failed/quarantined +
    cache counters) instead of aborting the whole grid on one bad run.
 
 Failure taxonomy (``RunRecord.failure_kind``): ``timeout`` (the stall
 watchdog killed a hung worker), ``crash`` (the run raised or the worker
-process died), ``invariant`` (a guarded run tripped a checker or the
-forward-progress watchdog).  A failure observed identically on two
+process died), ``invariant`` (a guarded run tripped a checker, or a
+run stopped making forward progress).  A failure observed identically on two
 attempts is deterministic: the config is marked ``quarantined``, written
 to the store's quarantine (with its diagnostic bundle path), and never
 retried past the second attempt -- by this campaign or any later one
@@ -30,6 +35,7 @@ bypass the memo cache and the result store in both directions.
 
 from __future__ import annotations
 
+import os
 import time
 import traceback as _traceback
 from dataclasses import dataclass, field
@@ -244,7 +250,7 @@ def _failed_record(index: int, cfg: RunConfig, status: str,
 
 
 # ---------------------------------------------------------------------------
-# Pool worker
+# Task function (pool workers and inline tasks alike)
 # ---------------------------------------------------------------------------
 
 # Shared with repro.service runners; see harness.runner.
@@ -254,126 +260,96 @@ _merge_counts = runner.merge_cache_counts
 
 
 def _simulate_payload(payload: dict) -> dict:
-    """Pool worker: dict in, dict out (keeps transport JSON-clean).
+    """Run one campaign task: dict in, dict out (keeps transport JSON-clean).
 
-    A ``__guard__`` key (a serialized GuardConfig) arms paranoid mode;
-    guard failures come back as a structured ``__failure__`` value
-    rather than an exception, so the pool does not burn its crash-retry
-    budget on deterministic invariant violations.  A ``__telemetry__``
-    key (a serialized TelemetryConfig) arms observability; the trace
-    summary rides back under the same out-of-band key, keeping
-    ``MachineResult`` itself untouched.
+    A task is ``{"__batch__": [item, ...]}``, one config payload per
+    run.  :func:`_plan_batches` gives the runs of a task one
+    machine-snapshot key, so the first builds and the rest fork this
+    process's snapshot cache; a run snapshots its build only when a
+    later run of its task can fork it, so a task of one never dumps.
+    Each run's exception comes back as its own ``__failure__`` entry, so
+    one bad config cannot poison its siblings and every failure keeps
+    its own kind.
 
-    A ``__batch__`` key carries a list of config payloads that share a
-    machine-snapshot key: running them sequentially in one worker means
-    the first run builds+snapshots and the rest fork from this process's
-    snapshot cache.  Per-item exceptions come back as ``__failure__``
-    entries so one bad config cannot poison its batch siblings.  A
-    single payload never snapshots its build: :func:`_plan_batches`
-    gives every config whose key another pending config shares a batch.
-    Either way the worker reports its amortization-cache counter deltas
-    under ``__cache_stats__``.  An ``__amortize__`` key (e.g.
-    ``{"trace_dir": ...}``) points this worker at the shared on-disk
-    trace cache; it is idempotent, so every payload of a campaign
-    carries it.
+    An item's ``__guard__`` key (a serialized GuardConfig) arms paranoid
+    mode; its ``__telemetry__`` key (a serialized TelemetryConfig) arms
+    observability, and the trace summary rides back under the same
+    out-of-band key, keeping ``MachineResult`` itself untouched.
+
+    The task neither reads nor writes the result store (the caller's
+    fold primes it once per result), and reports its amortization-cache
+    counter deltas under ``__cache_stats__``.  An ``__amortize__`` key
+    (``{"trace_dir": ...}``) points a pool worker at the shared on-disk
+    trace cache; it is idempotent, so every pool task carries it.
     """
-    payload = dict(payload)
-    amortize = payload.pop("__amortize__", None)
+    amortize = payload.get("__amortize__")
     if amortize and amortize.get("trace_dir"):
         from repro.workloads.synthetic import configure_trace_cache
 
         configure_trace_cache(disk_dir=amortize["trace_dir"])
-    batch = payload.pop("__batch__", None)
+    batch = payload["__batch__"]
     before = _cache_counts()
-    if batch is not None:
+    prev_store = runner.set_result_store(None)
+    try:
         results = []
         for k, item in enumerate(batch):
             try:
-                # Only a build a later sibling can fork is worth a dump.
                 results.append(_simulate_one(
                     dict(item), prime_snapshots=k < len(batch) - 1
                 ))
             except Exception as exc:
                 results.append({"__failure__": _failure_info(exc)})
-        out = {"__batch__": results}
-    else:
-        out = _simulate_one(payload, prime_snapshots=False)
-    out["__cache_stats__"] = _cache_delta(before, _cache_counts())
-    return out
+    finally:
+        runner.set_result_store(prev_store)
+    return {
+        "__batch__": results,
+        "__cache_stats__": _cache_delta(before, _cache_counts()),
+    }
 
 
 def _simulate_one(payload: dict, prime_snapshots: bool) -> dict:
     guard_dict = payload.pop("__guard__", None)
     tel_dict = payload.pop("__telemetry__", None)
     cfg = RunConfig.from_dict(payload)
+    guard_cfg = tel_obj = None
+    if guard_dict is not None:
+        from repro.guard import GuardConfig
 
-    tel_obj = None
+        guard_cfg = GuardConfig.from_dict(guard_dict)
     if tel_dict is not None:
         from repro.telemetry import Telemetry, TelemetryConfig
 
         tel_obj = Telemetry(TelemetryConfig.from_dict(tel_dict))
+    out = runner.run_workload(
+        cfg, guard=guard_cfg, telemetry=tel_obj,
+        prime_snapshots=prime_snapshots,
+    ).to_dict()
+    if tel_obj is not None:
+        out["__telemetry__"] = tel_obj.summary
+    return out
 
-    def _out(result) -> dict:
-        out = result.to_dict()
-        if tel_obj is not None:
-            out["__telemetry__"] = tel_obj.summary
-        return out
 
-    if guard_dict is None:
-        return _out(runner.run_workload(
-            cfg, telemetry=tel_obj, prime_snapshots=prime_snapshots
+def _map_inline(tasks: List[dict], on_event=None) -> List[_pool.TaskOutcome]:
+    """Run *tasks* one after another in this process.
+
+    The in-process twin of :func:`~repro.campaign.pool.map_with_retries`:
+    the same outcomes and one ``done`` event per task, but no worker, so
+    the caller's snapshot and trace caches stay warm and its profilers
+    see every span.  ``timeout`` and ``retries`` do not apply.
+    """
+    outcomes = []
+    for n, task in enumerate(tasks):
+        outcomes.append(_pool.TaskOutcome(
+            index=n, status=_pool.OK, value=_simulate_payload(task),
+            attempts=1,
         ))
-
-    from repro.guard import GuardConfig
-
-    guard_cfg = GuardConfig.from_dict(guard_dict)
-    try:
-        return _out(runner.run_workload(cfg, guard=guard_cfg, telemetry=tel_obj))
-    except Exception as exc:
-        return {"__failure__": _failure_info(exc)}
-
-
-# ---------------------------------------------------------------------------
-# Serial guarded execution (attempt + deterministic-failure confirmation)
-# ---------------------------------------------------------------------------
-
-def _fresh_telemetry(tel_cfg):
-    """One Telemetry per run attempt (or None when telemetry is off)."""
-    if tel_cfg is None:
-        return None
-    from repro.telemetry import Telemetry
-
-    return Telemetry(tel_cfg)
-
-def _run_guarded_serial(index: int, cfg: RunConfig, guard_cfg,
-                        store, tel_cfg=None) -> RunRecord:
-    # A fresh Telemetry per attempt: a failed attempt's half-built trace
-    # must not leak into the retry's.
-    tel_obj = _fresh_telemetry(tel_cfg)
-    try:
-        result = runner.run_workload(cfg, guard=guard_cfg, telemetry=tel_obj)
-        return RunRecord(
-            index, cfg, COMPLETED, result, source="simulated", attempts=1,
-            telemetry=tel_obj.summary if tel_obj is not None else None,
-        )
-    except Exception as exc:
-        first = _failure_info(exc)
-    # One confirmation attempt decides deterministic vs. transient; a
-    # deterministic failure is quarantined, never retried further.
-    tel_obj = _fresh_telemetry(tel_cfg)
-    try:
-        result = runner.run_workload(cfg, guard=guard_cfg, telemetry=tel_obj)
-        return RunRecord(
-            index, cfg, COMPLETED, result, source="simulated", attempts=2,
-            error=f"transient failure on first attempt: {first['error']}",
-            telemetry=tel_obj.summary if tel_obj is not None else None,
-        )
-    except Exception as exc:
-        second = _failure_info(exc)
-    if _same_failure(first, second):
-        _quarantine(store, cfg, second)
-        return _failed_record(index, cfg, QUARANTINED, second, attempts=2)
-    return _failed_record(index, cfg, FAILED, second, attempts=2)
+        if on_event is not None:
+            on_event("done", {
+                "completed": n + 1,
+                "outstanding": len(tasks) - n - 1,
+                "total": len(tasks),
+            })
+    return outcomes
 
 
 def _record_pool_failure(index: int, cfg: RunConfig, outcome, store,
@@ -395,57 +371,47 @@ def _record_pool_failure(index: int, cfg: RunConfig, outcome, store,
     return _failed_record(index, cfg, FAILED, info, attempts)
 
 
-def _by_snapshot_key(pending: List[int], configs: Sequence[RunConfig]
-                     ) -> Tuple[Dict[str, List[int]], List[int]]:
-    """Pending grid indices of snapshot-eligible configs grouped by
-    snapshot key (members in pending order), plus the ineligible rest."""
-    from repro.snapshot import snapshot_eligible, snapshot_key
-
-    by_key: Dict[str, List[int]] = {}
-    singles: List[int] = []
-    for i in pending:
-        cfg = configs[i]
-        if snapshot_eligible(cfg):
-            by_key.setdefault(snapshot_key(cfg), []).append(i)
-        else:
-            singles.append(i)
-    return by_key, singles
-
-
 def _plan_batches(pending: List[int], configs: Sequence[RunConfig],
                   jobs: int, batching: bool) -> List[List[int]]:
-    """Partition pending grid indices into worker tasks.
+    """Partition pending grid indices into campaign tasks.
 
     Runs sharing a machine-snapshot key are grouped (the first run of a
-    group builds+snapshots in its worker, the rest fork), but each group
-    is chunked so a sweep with few distinct keys still spreads across
-    all ``jobs`` workers.  Chunks hold at least two runs, so a config
-    whose key no other pending config shares is exactly a singleton
-    task, and a worker (or a service runner, which plans its batch the
-    same way) snapshots a build only when a later run of its task can
-    fork it.  Ineligible configs stay singleton tasks.  Groups are
-    submitted in grid order of their first member, and records are
-    merged by index, so batching never perturbs output order.
+    group builds+snapshots, the rest fork), but each group is chunked so
+    a sweep with few distinct keys still spreads across all ``jobs``
+    workers; with ``jobs <= 1`` a key's pending configs form one task.
+    Chunks hold at least two runs, so a config whose key no other
+    pending config shares is exactly a singleton task, and a task (or a
+    service runner, which plans its batch the same way) snapshots a
+    build only when a later run of its task can fork it.  Ineligible
+    configs stay singleton tasks.  Groups are submitted in grid order of
+    their first member, and records are merged by index, so batching
+    never perturbs output order.
     """
     if not batching:
         return [[i] for i in pending]
-    by_key, singles = _by_snapshot_key(pending, configs)
+    from repro.snapshot import snapshot_eligible, snapshot_key
+
+    by_key: Dict[str, List[int]] = {}
+    groups: List[List[int]] = []
+    for i in pending:
+        if snapshot_eligible(configs[i]):
+            by_key.setdefault(snapshot_key(configs[i]), []).append(i)
+        else:
+            groups.append([i])
     # ceil(pending/jobs): with this chunk bound even a single-key sweep
     # produces >= jobs tasks.
     max_chunk = max(2, -(-len(pending) // max(1, jobs)))
-    groups: List[List[int]] = []
     for members in by_key.values():
         n = len(members)
         chunks = max(1, min(-(-n // max_chunk), n // 2))
         for c in range(chunks):
             groups.append(members[c * n // chunks:(c + 1) * n // chunks])
-    groups.extend([i] for i in singles)
     groups.sort(key=lambda g: g[0])
     return groups
 
 
 # ---------------------------------------------------------------------------
-# Shared campaign building blocks (pool executor + repro.service)
+# Shared campaign building blocks (run_campaign + repro.service)
 # ---------------------------------------------------------------------------
 
 def prescan(
@@ -548,6 +514,47 @@ def _as_campaign_telemetry(telemetry):
     )
 
 
+def _as_campaign_guard(guard):
+    """Normalize ``guard=`` to a GuardConfig (or None).
+
+    ``True`` selects the default config, a ``Guard`` contributes its
+    config, and a dict is a serialized ``GuardConfig`` -- the form a
+    distributed campaign's batch meta carries to its runners.
+    """
+    if guard is None or guard is False:
+        return None
+    from repro.guard import Guard, GuardConfig
+
+    if isinstance(guard, GuardConfig):
+        return guard
+    if isinstance(guard, Guard):
+        return guard.config
+    if isinstance(guard, dict):
+        return GuardConfig.from_dict(guard)
+    if guard is True:
+        return GuardConfig()
+    raise TypeError(
+        f"campaign guard must be None, bool, dict, GuardConfig, or Guard, "
+        f"not {type(guard).__name__}"
+    )
+
+
+def _shared_trace_dir(store, observed: bool,
+                      trace_dir: Optional[str] = None) -> Optional[str]:
+    """The on-disk trace cache a plain campaign's workers share.
+
+    ``trace_dir`` if given, else ``<store root>/traces``, so workers
+    stop regenerating identical traces and later campaigns on the store
+    reuse them too.  None for guarded or observed campaigns.
+    """
+    if observed:
+        return None
+    root = getattr(store, "root", None)
+    if trace_dir is None and root:
+        trace_dir = os.path.join(str(root), "traces")
+    return trace_dir
+
+
 def _as_progress(progress):
     """Normalize ``progress=`` to an ``on_event(kind, info)`` callable."""
     if progress is None or progress is False:
@@ -582,233 +589,131 @@ def run_campaign(
 
     ``store=None`` uses the globally installed result store (if any);
     pass a :class:`ResultStore` to use -- and install for the duration --
-    a specific one.  ``guard`` (``True`` or a ``GuardConfig``) runs the
-    whole campaign in paranoid mode.
+    a specific one.  ``guard`` (``True``, a ``GuardConfig``, a ``Guard``
+    or a ``GuardConfig`` dict) runs the whole campaign in paranoid mode.
+
+    Tasks run in this process when ``jobs <= 1`` or only one config is
+    pending, else over ``jobs`` worker processes.  ``timeout`` (seconds
+    per run without a finished task before a worker counts as hung) and
+    ``retries`` (extra attempts for crashed or hung workers) apply to
+    pool tasks only.
 
     ``telemetry`` (``True`` or a ``TelemetryConfig``) observes every
     simulated run; each record carries the trace summary in
     ``RunRecord.telemetry``.  Telemetry runs always simulate (a cached
     result has no trace), but their results still prime the caches when
     unguarded.  ``progress`` (``True`` for a stderr printer, or a
-    callable) reports live ``done``/``heartbeat`` events while a pool
-    campaign drains.  ``trace_dir`` points pool workers at a shared
-    on-disk trace cache (defaults to ``<store>/traces`` when a store
-    with a root is installed; service runners pass the broker's).
+    callable) reports a ``done`` event per finished task, plus
+    ``heartbeat`` events while a pool campaign drains.  ``trace_dir``
+    points pool workers at a shared on-disk trace cache (defaults to
+    ``<store>/traces`` when a store with a root is installed; service
+    runners pass the broker's).
     """
     t0 = time.monotonic()
     configs = grid.expand() if isinstance(grid, GridSpec) else list(grid)
     records: List[Optional[RunRecord]] = [None] * len(configs)
-
-    guard_cfg = None
-    if guard is not None and guard is not False:
-        from repro.guard import Guard, GuardConfig
-
-        if isinstance(guard, GuardConfig):
-            guard_cfg = guard
-        elif isinstance(guard, Guard):
-            guard_cfg = guard.config
-        else:
-            guard_cfg = GuardConfig()
-
+    guard_cfg = _as_campaign_guard(guard)
     tel_cfg = _as_campaign_telemetry(telemetry)
+    observed = guard_cfg is not None or tel_cfg is not None
     on_event = _as_progress(progress)
 
     effective_store = store if store is not None else runner.get_result_store()
     prev_store = runner.set_result_store(effective_store)
-    # Worker-reported amortization-cache counter deltas (pool batches).
+    # Worker-reported amortization-cache counter deltas (pool tasks).
     pool_caches: Dict[str, Dict[str, int]] = {}
     try:
-        pending = prescan(
-            configs, records, effective_store,
-            skip_caches=guard_cfg is not None or tel_cfg is not None,
+        pending = prescan(configs, records, effective_store,
+                          skip_caches=observed)
+        inline = jobs <= 1 or len(pending) <= 1
+        # Plain campaigns batch same-key runs so they fork one build;
+        # guarded/observed runs keep tasks of one (their confirmation
+        # pass needs run granularity).
+        groups = _plan_batches(pending, configs, jobs, batching=not observed)
+        run_keys = {}
+        if guard_cfg is not None:
+            run_keys["__guard__"] = guard_cfg.to_dict()
+        if tel_cfg is not None:
+            run_keys["__telemetry__"] = tel_cfg.to_dict()
+        # Inline tasks use whatever trace cache this process is pointed
+        # at: the setting is process-global.
+        shared_traces = None if inline else _shared_trace_dir(
+            effective_store, observed, trace_dir
         )
 
-        if jobs <= 1 or len(pending) <= 1:
-            # Snapshot a fresh build only when a later pending config
-            # shares its key and can fork it instead of rebuilding.
-            by_key, _singles = _by_snapshot_key(pending, configs)
-            forked_later = {i for members in by_key.values()
-                            for i in members[:-1]}
-            for serial_done, i in enumerate(pending):
-                cfg = configs[i]
-                if guard_cfg is not None:
-                    records[i] = _run_guarded_serial(
-                        i, cfg, guard_cfg, effective_store, tel_cfg
-                    )
-                else:
-                    tel_obj = _fresh_telemetry(tel_cfg)
-                    try:
-                        result = runner.run_workload(
-                            cfg, telemetry=tel_obj,
-                            prime_snapshots=i in forked_later,
-                        )
-                        records[i] = RunRecord(
-                            i, cfg, COMPLETED, result,
-                            source="simulated", attempts=1,
-                            telemetry=(
-                                tel_obj.summary if tel_obj is not None else None
-                            ),
-                        )
-                    except Exception as exc:
-                        records[i] = _failed_record(
-                            i, cfg, FAILED, _failure_info(exc), attempts=1
-                        )
-                if on_event is not None:
-                    on_event("done", {
-                        "completed": serial_done + 1,
-                        "outstanding": len(pending) - serial_done - 1,
-                        "total": len(pending),
-                    })
-        elif pending:
-            guard_dict = guard_cfg.to_dict() if guard_cfg is not None else None
-            tel_dict = tel_cfg.to_dict() if tel_cfg is not None else None
-
-            # Shared on-disk trace cache: piggyback on the persistent
-            # store's directory so workers stop regenerating identical
-            # traces (and later campaigns reuse them too).
-            amortize_dict = None
-            effective_trace_dir = trace_dir
-            if effective_trace_dir is None:
-                store_root = getattr(effective_store, "root", None)
-                if store_root:
-                    import os as _os
-
-                    effective_trace_dir = _os.path.join(
-                        str(store_root), "traces"
-                    )
-            if guard_cfg is None and tel_cfg is None and effective_trace_dir:
-                amortize_dict = {"trace_dir": effective_trace_dir}
-
-            def _payload(i: int) -> dict:
-                payload = configs[i].to_dict()
-                if guard_dict is not None:
-                    payload["__guard__"] = guard_dict
-                if tel_dict is not None:
-                    payload["__telemetry__"] = tel_dict
-                return payload
-
-            # Group runs that share a machine-snapshot key into batches
-            # so they land on the same worker and fork its snapshot
-            # instead of rebuilding.  Only plain campaigns batch:
-            # guarded/observed runs keep per-run payloads (their
-            # failure confirmation pass needs task granularity).
-            groups = _plan_batches(
-                pending, configs, jobs,
-                batching=guard_cfg is None and tel_cfg is None,
-            )
-
-            def _group_payload(group: List[int]) -> dict:
-                if len(group) == 1:
-                    payload = _payload(group[0])
-                else:
-                    payload = {"__batch__": [_payload(i) for i in group]}
-                if amortize_dict is not None:
-                    payload["__amortize__"] = amortize_dict
-                return payload
-
+        def _map(groups: List[List[int]], retries: int):
+            tasks = []
+            for group in groups:
+                task = {"__batch__": [{**configs[i].to_dict(), **run_keys}
+                                      for i in group]}
+                if shared_traces:
+                    task["__amortize__"] = {"trace_dir": shared_traces}
+                tasks.append(task)
+            if inline:
+                return _map_inline(tasks, on_event)
             # The stall watchdog sees one completion per *task*; a batch
             # is one task doing len(batch) runs, so scale its budget.
-            max_batch = max(len(g) for g in groups)
-            pool_timeout = timeout * max_batch if timeout is not None else None
-            heartbeat = 2.0 if on_event is not None else None
-            outcomes = _pool.map_with_retries(
-                _simulate_payload, [_group_payload(g) for g in groups],
-                jobs=jobs, timeout=pool_timeout, retries=retries,
-                heartbeat=heartbeat, on_event=on_event,
+            longest = max(len(g) for g in groups)
+            return _pool.map_with_retries(
+                _simulate_payload, tasks, jobs=jobs,
+                timeout=timeout * longest if timeout is not None else None,
+                retries=retries,
+                heartbeat=2.0 if on_event is not None else None,
+                on_event=on_event,
             )
-            confirm: List[Tuple[int, Dict[str, str], int]] = []
-            for outcome, group in zip(outcomes, groups):
-                if len(group) > 1:
-                    if not outcome.ok:
-                        for i in group:
-                            records[i] = _record_pool_failure(
-                                i, configs[i], outcome, effective_store
-                            )
-                        continue
-                    value = outcome.value
-                    _merge_counts(
-                        pool_caches, value.get("__cache_stats__")
-                    )
-                    for i, item in zip(group, value["__batch__"]):
-                        cfg = configs[i]
-                        if isinstance(item, dict) and "__failure__" in item:
-                            records[i] = _failed_record(
-                                i, cfg, FAILED, item["__failure__"],
-                                attempts=outcome.attempts,
-                            )
-                            continue
-                        tel_summary = item.pop("__telemetry__", None)
+
+        def _fold(groups, outcomes, first) -> Dict[int, Tuple[dict, int]]:
+            """Fill the records of finished tasks.  ``first`` maps the
+            runs of a confirmation pass to their first failure and
+            attempts; returns the guarded failures still to confirm."""
+            confirm: Dict[int, Tuple[dict, int]] = {}
+            for group, outcome in zip(groups, outcomes):
+                if not outcome.ok:
+                    for i in group:
+                        records[i] = _record_pool_failure(
+                            i, configs[i], outcome, effective_store,
+                            extra_attempts=first.get(i, (None, 0))[1],
+                        )
+                    continue
+                if not inline:  # inline counts are already this process's
+                    _merge_counts(pool_caches,
+                                  outcome.value["__cache_stats__"])
+                for i, item in zip(group, outcome.value["__batch__"]):
+                    cfg = configs[i]
+                    earlier, attempts = first.get(i, (None, 0))
+                    attempts += outcome.attempts
+                    failure = item.get("__failure__")
+                    if failure is None:
+                        telemetry_summary = item.pop("__telemetry__", None)
                         result = MachineResult.from_dict(item)
-                        runner.prime(cfg, result)
+                        if guard_cfg is None:
+                            runner.prime(cfg, result)
                         records[i] = RunRecord(
                             i, cfg, COMPLETED, result,
-                            source="simulated", attempts=outcome.attempts,
-                            telemetry=tel_summary,
+                            source="simulated", attempts=attempts,
+                            error=(f"transient failure on first attempt: "
+                                   f"{earlier['error']}" if earlier else ""),
+                            telemetry=telemetry_summary,
                         )
-                    continue
-                i = group[0]
-                cfg = configs[i]
-                if not outcome.ok:
-                    records[i] = _record_pool_failure(
-                        i, cfg, outcome, effective_store
-                    )
-                    continue
-                value = outcome.value
-                _merge_counts(pool_caches, value.pop("__cache_stats__", None))
-                if isinstance(value, dict) and "__failure__" in value:
-                    confirm.append((i, value["__failure__"], outcome.attempts))
-                    continue
-                tel_summary = value.pop("__telemetry__", None)
-                result = MachineResult.from_dict(value)
-                if guard_cfg is None:
-                    runner.prime(cfg, result)
-                records[i] = RunRecord(
-                    i, cfg, COMPLETED, result,
-                    source="simulated", attempts=outcome.attempts,
-                    telemetry=tel_summary,
-                )
-            if confirm:
-                # Guard failures get exactly one confirmation attempt
-                # (retries=0): reproduce -> quarantine, else transient.
-                outcomes2 = _pool.map_with_retries(
-                    _simulate_payload, [_payload(i) for i, _, _ in confirm],
-                    jobs=jobs, timeout=timeout, retries=0,
-                    heartbeat=heartbeat, on_event=on_event,
-                )
-                for (i, first, attempts1), outcome2 in zip(confirm, outcomes2):
-                    cfg = configs[i]
-                    attempts = attempts1 + outcome2.attempts
-                    if not outcome2.ok:
-                        records[i] = _record_pool_failure(
-                            i, cfg, outcome2, effective_store,
-                            extra_attempts=attempts1,
+                    elif earlier is None and guard_cfg is not None:
+                        confirm[i] = (failure, attempts)
+                    elif earlier is not None and _same_failure(earlier,
+                                                               failure):
+                        _quarantine(effective_store, cfg, failure)
+                        records[i] = _failed_record(
+                            i, cfg, QUARANTINED, failure, attempts
                         )
-                        continue
-                    value2 = outcome2.value
-                    _merge_counts(
-                        pool_caches, value2.pop("__cache_stats__", None)
-                    )
-                    if isinstance(value2, dict) and "__failure__" in value2:
-                        second = value2["__failure__"]
-                        if _same_failure(first, second):
-                            _quarantine(effective_store, cfg, second)
-                            records[i] = _failed_record(
-                                i, cfg, QUARANTINED, second, attempts
-                            )
-                        else:
-                            records[i] = _failed_record(
-                                i, cfg, FAILED, second, attempts
-                            )
-                        continue
-                    tel_summary2 = value2.pop("__telemetry__", None)
-                    result = MachineResult.from_dict(value2)
-                    records[i] = RunRecord(
-                        i, cfg, COMPLETED, result,
-                        source="simulated", attempts=attempts,
-                        error=f"transient failure on first attempt: "
-                              f"{first.get('error', '')}",
-                        telemetry=tel_summary2,
-                    )
+                    else:
+                        records[i] = _failed_record(
+                            i, cfg, FAILED, failure, attempts
+                        )
+            return confirm
+
+        confirm = _fold(groups, _map(groups, retries), {})
+        if confirm:
+            # A guarded failure gets exactly one confirmation attempt:
+            # the same failure again quarantines, anything else does not.
+            again = [[i] for i in confirm]
+            _fold(again, _map(again, 0), confirm)
     finally:
         runner.set_result_store(prev_store)
 

@@ -40,9 +40,11 @@ from repro import obs
 from repro.campaign.executor import (
     CampaignResult,
     RunRecord,
+    _as_campaign_guard,
     _as_campaign_telemetry,
     _as_progress,
     _plan_batches,
+    _shared_trace_dir,
     prescan,
     summarize_records,
 )
@@ -117,12 +119,9 @@ def run_distributed_campaign(
     client.probe()
     cid = campaign_id or new_campaign_id()
 
+    guard_cfg = _as_campaign_guard(guard)
     tel_cfg = _as_campaign_telemetry(telemetry)
-    guard_cfg = None
-    if guard is not None and guard is not False:
-        from repro.guard import GuardConfig
-
-        guard_cfg = guard if isinstance(guard, GuardConfig) else GuardConfig()
+    observed = guard_cfg is not None or tel_cfg is not None
     on_event = _as_progress(progress)
 
     if resume:
@@ -154,17 +153,11 @@ def run_distributed_campaign(
                       "span_id": campaign_span.span_id}
 
     records: List[Optional[RunRecord]] = [None] * len(configs)
-    pending = prescan(
-        configs, records, store,
-        skip_caches=guard_cfg is not None or tel_cfg is not None,
-    )
+    pending = prescan(configs, records, store, skip_caches=observed)
 
     submitted: List[str] = []
     if pending:
-        groups = _plan_batches(
-            pending, configs, jobs,
-            batching=guard_cfg is None and tel_cfg is None,
-        )
+        groups = _plan_batches(pending, configs, jobs, batching=not observed)
         meta = {
             "timeout": timeout,
             "retries": retries,
@@ -173,9 +166,9 @@ def run_distributed_campaign(
         }
         if trace_meta is not None:
             meta["trace"] = dict(trace_meta)
-        store_root = getattr(store, "root", None)
-        if store_root and guard_cfg is None and tel_cfg is None:
-            meta["trace_dir"] = os.path.join(str(store_root), "traces")
+        shared_traces = _shared_trace_dir(store, observed)
+        if shared_traces:
+            meta["trace_dir"] = shared_traces
         batches = []
         for group in groups:
             payloads = [configs[i].to_dict() for i in group]

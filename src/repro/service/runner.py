@@ -252,8 +252,8 @@ def runner_loop(
                         obs_counters=_obs_counters(),
                     ))
 
-                # Progress events only fire when a run *completes*, so
-                # a single run longer than the lease would starve the
+                # Progress events only fire when a task *completes*, so
+                # a single task longer than the lease would starve the
                 # broker of heartbeats and get the batch requeued (and
                 # re-executed elsewhere) mid-run.  A timer thread keeps
                 # the lease warm regardless of run length.

@@ -8,6 +8,7 @@ from repro.campaign import (
     ResultStore,
     run_campaign,
 )
+from repro.campaign.store import _RealFS, install_fs
 from repro.harness import runner
 from repro.harness.runner import RunConfig, clear_cache, run_matrix
 
@@ -74,6 +75,37 @@ def test_failed_run_in_parallel_mode(tmp_path):
     statuses = [r.status for r in campaign.records]
     assert statuses == ["completed", "failed", "completed"]
     assert campaign.records[1].attempts == 1  # deterministic error: no retry
+
+
+class _LoggingFS(_RealFS):
+    """Appends each store write's destination to a file, so writes from
+    forked pool workers (which inherit the installed shim) count too."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def replace(self, src, dst):
+        super().replace(src, dst)
+        with open(self.log, "a") as fh:
+            fh.write(f"{dst}\n")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_store_write_per_simulated_run(tmp_path, jobs):
+    grid = GridSpec(schemes=("baseline", "nomad"), workloads=("sop",),
+                    base=BASE, axes={"seed": (1, 2)})
+    log = tmp_path / "writes.log"
+    prev = install_fs(_LoggingFS(log))
+    try:
+        campaign = run_campaign(grid, jobs=jobs,
+                                store=ResultStore(tmp_path / "store"))
+    finally:
+        install_fs(prev)
+    assert campaign.summary.completed == 4
+    writes = log.read_text().splitlines()
+    assert len(writes) == 4 and len(set(writes)) == 4, writes
+    # One lookup per config, in the prescan.
+    assert campaign.summary.store["misses"] == 4
 
 
 def test_summary_surfaces_memo_counters():

@@ -9,7 +9,7 @@ the second attempt -- in this campaign or any later one.
 import pytest
 
 from repro.campaign import ResultStore, run_campaign
-from repro.campaign.executor import COMPLETED, QUARANTINED
+from repro.campaign.executor import COMPLETED, FAILED, QUARANTINED
 from repro.guard import GuardConfig
 from repro.harness.runner import RunConfig, clear_cache
 
@@ -87,6 +87,54 @@ def test_pool_campaign_quarantines_with_confirm_pass(tmp_path):
     assert bad.failure_kind == "invariant"
     assert bad.attempts == 2
     assert store.get_failure(configs[1]) is not None
+
+
+def test_runner_batch_honours_its_guard_settings(tmp_path):
+    # A distributed campaign ships its GuardConfig to runners as a dict;
+    # the chaos injection in it must reach the runs.
+    from repro.service.runner import execute_batch
+
+    items, _delta = execute_batch({
+        "batch_id": "b", "campaign_id": "c", "indices": [0, 1],
+        "configs": [c.to_dict() for c in _configs()],
+        "meta": {"guard": _guard(tmp_path).to_dict()},
+    })
+    healthy, bad = items
+    assert healthy["status"] == COMPLETED
+    assert bad["status"] == QUARANTINED
+    assert bad["failure_kind"] == "invariant"
+
+
+def test_guard_of_unknown_type_is_rejected():
+    with pytest.raises(TypeError, match="campaign guard"):
+        run_campaign(_configs()[:1], guard="paranoid")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stalled_run_is_invariant_at_any_jobs(monkeypatch, jobs):
+    """A run's own failure kind reaches its record, in-process or in a
+    pool task of one (forked workers inherit the patch)."""
+    from repro.guard import DeadlockError
+    from repro.system.machine import Machine
+
+    real_run = Machine.run
+
+    def run(self, *args, **kwargs):
+        if self.workload_name == "cc":
+            raise DeadlockError("simulation stalled: injected")
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", run)
+    # Baseline never snapshots, so each config is a task of one.
+    configs = [RunConfig(scheme="baseline", workload=w, num_mem_ops=300,
+                         num_cores=2, dc_megabytes=8) for w in ("sop", "cc")]
+    res = run_campaign(configs, jobs=jobs, store=None)
+    healthy, bad = res.records
+    assert healthy.status == COMPLETED
+    assert bad.status == FAILED
+    assert bad.failure_kind == "invariant"
+    assert bad.attempts == 1
+    assert "DeadlockError" in bad.error
 
 
 def test_guarded_results_do_not_poison_caches(tmp_path):

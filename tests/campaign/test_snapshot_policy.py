@@ -1,11 +1,10 @@
 """Campaigns snapshot a build only when a later run can fork it.
 
 A snapshot dump costs time and leaves the dumped machine on CPython's
-slow attribute path, so a campaign dumps a fresh build only when another
-pending config shares its snapshot key: serially, when a later config
-does; in a pool, when a later run of the same task does (tasks group a
-key's configs).  Either way the results equal a campaign that never
-forks.
+slow attribute path, so a campaign dumps a fresh build only when a
+later run of the same task can fork it (tasks group a key's configs; at
+``jobs=1`` one task holds all of them), in this process and in a pool
+alike.  Either way the results equal a campaign that never forks.
 """
 
 import pytest

@@ -238,6 +238,34 @@ def test_lease_renewed_by_timer_during_long_run(monkeypatch):
     assert len(stub.heartbeats) >= 2
 
 
+def test_coordinator_enqueues_the_config_of_a_guard():
+    from repro.guard import Guard, GuardConfig
+
+    cfg = GuardConfig(check_interval=123, chaos="leak_mshr",
+                      chaos_scheme="nomad")
+
+    class StubClient:
+        meta = None
+
+        def probe(self):
+            return {}
+
+        def enqueue(self, cid, batches, meta, manifest=None):
+            self.meta = meta
+            return {}
+
+        def status(self, cid):
+            return {"campaigns": {cid: {"done": 1, "batches": 1}}}
+
+        def records(self, cid):
+            return []
+
+    stub = StubClient()
+    run_distributed_campaign([BASE], "ignored", store=None,
+                             guard=Guard(cfg), client=stub)
+    assert stub.meta["guard"] == cfg.to_dict()
+
+
 def test_runner_restores_trace_cache_config(tmp_path):
     # Runner loops may execute as threads inside a larger process; the
     # disk trace-cache layer they point at the campaign store must not
