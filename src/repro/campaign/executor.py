@@ -35,6 +35,7 @@ bypass the memo cache and the result store in both directions.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 import traceback as _traceback
@@ -276,9 +277,13 @@ def _simulate_payload(payload: dict) -> dict:
     observability, and the trace summary rides back under the same
     out-of-band key, keeping ``MachineResult`` itself untouched.
 
-    The task neither reads nor writes the result store (the caller's
-    fold primes it once per result), and reports its amortization-cache
-    counter deltas under ``__cache_stats__``.  An ``__amortize__`` key
+    Every run simulates: the task never consults the memo cache or the
+    result store (the caller's prescan already did, once per config, and
+    its fold primes both once per result), so the cache counters a
+    campaign reports do not depend on where its tasks ran.  A config
+    listed twice in one task simulates once; the repeat copies the
+    first result.  The task reports its amortization-cache counter
+    deltas under ``__cache_stats__``.  An ``__amortize__`` key
     (``{"trace_dir": ...}``) points a pool worker at the shared on-disk
     trace cache; it is idempotent, so every pool task carries it.
     """
@@ -289,18 +294,20 @@ def _simulate_payload(payload: dict) -> dict:
         configure_trace_cache(disk_dir=amortize["trace_dir"])
     batch = payload["__batch__"]
     before = _cache_counts()
-    prev_store = runner.set_result_store(None)
-    try:
-        results = []
-        for k, item in enumerate(batch):
-            try:
-                results.append(_simulate_one(
-                    dict(item), prime_snapshots=k < len(batch) - 1
-                ))
-            except Exception as exc:
-                results.append({"__failure__": _failure_info(exc)})
-    finally:
-        runner.set_result_store(prev_store)
+    results = []
+    done: Dict[str, dict] = {}
+    for k, item in enumerate(batch):
+        key = json.dumps(item, sort_keys=True)
+        if key in done:
+            results.append(dict(done[key]))
+            continue
+        try:
+            out = _simulate_one(dict(item), prime_snapshots=k < len(batch) - 1)
+        except Exception as exc:
+            out = {"__failure__": _failure_info(exc)}
+        else:
+            done[key] = out
+        results.append(out)
     return {
         "__batch__": results,
         "__cache_stats__": _cache_delta(before, _cache_counts()),
@@ -320,10 +327,11 @@ def _simulate_one(payload: dict, prime_snapshots: bool) -> dict:
         from repro.telemetry import Telemetry, TelemetryConfig
 
         tel_obj = Telemetry(TelemetryConfig.from_dict(tel_dict))
-    out = runner.run_workload(
+    result, _machine = runner.simulate(
         cfg, guard=guard_cfg, telemetry=tel_obj,
         prime_snapshots=prime_snapshots,
-    ).to_dict()
+    )
+    out = result.to_dict()
     if tel_obj is not None:
         out["__telemetry__"] = tel_obj.summary
     return out

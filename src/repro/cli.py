@@ -36,6 +36,7 @@ from repro.harness.experiments import experiment_table1
 from repro.harness.reporting import format_table
 from repro.harness.runner import RunConfig, run_workload
 from repro.system.builder import SCHEME_REGISTRY
+from repro.vm.descriptors import MAX_CORES
 from repro.workloads.presets import CLASS_OF, PRESETS
 
 
@@ -79,6 +80,14 @@ def _reject_unknown(schemes=(), workloads=()) -> Optional[str]:
         return None
     return (f"error: unknown {', '.join(bad)} "
             f"(run `repro list` to see what is available)")
+
+
+def _core_count(text: str) -> int:
+    cores = int(text)
+    if cores > MAX_CORES:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_CORES} cores are supported, got {cores}")
+    return cores
 
 
 def cmd_run(args) -> int:
@@ -744,7 +753,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--ops", type=int, default=6000,
                        help="memory ops per core (default 6000)")
-        p.add_argument("--cores", type=int, default=4)
+        p.add_argument("--cores", type=_core_count, default=4,
+                       help=f"simulated cores, at most {MAX_CORES} (default 4)")
         p.add_argument("--dc-mb", type=int, default=64,
                        help="DRAM cache capacity in MB")
         p.add_argument("--seed", type=int, default=1)
@@ -937,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--seeds", default="1,2,3,4",
                          help="seed axis of the grid (default 1,2,3,4)")
     p_chaos.add_argument("--ops", type=int, default=300)
-    p_chaos.add_argument("--cores", type=int, default=2)
+    p_chaos.add_argument("--cores", type=_core_count, default=2)
     p_chaos.add_argument("--dc-mb", type=int, default=8)
     p_chaos.add_argument("--runners", type=int, default=2,
                          help="in-process runner threads (default 2)")

@@ -9,7 +9,6 @@ from repro.common.stats import (
     StatGroup,
 )
 from repro.common.types import (
-    AccessType,
     CACHE_LINE_SIZE,
     MemAccess,
     PAGE_SIZE,
@@ -23,7 +22,6 @@ from repro.common.types import (
 )
 
 __all__ = [
-    "AccessType",
     "BandwidthMeter",
     "BitVector",
     "CACHE_LINE_SIZE",

@@ -45,13 +45,6 @@ def sub_block_of(addr: int) -> int:
     return (addr & (PAGE_SIZE - 1)) >> _SUB_SHIFT
 
 
-class AccessType(enum.IntEnum):
-    """Kind of memory access issued by a core."""
-
-    LOAD = 0
-    STORE = 1
-
-
 class TrafficClass(enum.IntEnum):
     """Why a DRAM burst was issued; used for bandwidth breakdowns (Fig. 10).
 
@@ -72,42 +65,27 @@ class TrafficClass(enum.IntEnum):
 class MemAccess:
     """One memory access travelling through the hierarchy.
 
-    ``addr`` is the virtual address as issued by the core; schemes record
-    translation results in ``paddr``/``cache_addr`` as the access moves
-    through the TLB and DRAM cache layers.
+    ``addr`` is the virtual address as issued by the core and ``paddr``
+    its routed translation (a DC-space or physical address, see
+    :mod:`repro.schemes.base`).
 
     One instance is allocated per memory op, so this is a ``__slots__``
-    class and ``is_write`` is resolved once at construction instead of
-    being a property consulted at every hierarchy level.  ``meta`` stays
-    ``None`` unless a caller supplies one (nothing on the demand path
-    reads it, so the per-op empty dict would be pure allocation churn).
+    class holding only what the hierarchy and the schemes read.
     """
 
-    __slots__ = (
-        "addr", "access_type", "core_id", "issue_time", "size",
-        "paddr", "cache_addr", "meta", "is_write",
-    )
+    __slots__ = ("addr", "is_write", "core_id", "paddr")
 
     def __init__(
         self,
         addr: int,
-        access_type: AccessType,
+        is_write: bool,
         core_id: int,
-        issue_time: int,
-        size: int = CACHE_LINE_SIZE,
         paddr: Optional[int] = None,
-        cache_addr: Optional[int] = None,
-        meta: Optional[dict] = None,
     ):
         self.addr = addr
-        self.access_type = access_type
+        self.is_write = is_write
         self.core_id = core_id
-        self.issue_time = issue_time
-        self.size = size
         self.paddr = paddr
-        self.cache_addr = cache_addr
-        self.meta = meta
-        self.is_write = access_type == AccessType.STORE
 
     @property
     def vpn(self) -> int:
@@ -118,7 +96,5 @@ class MemAccess:
         return sub_block_of(self.addr)
 
     def __repr__(self) -> str:
-        return (
-            f"MemAccess(addr={self.addr:#x}, {self.access_type.name}, "
-            f"core={self.core_id}, t={self.issue_time})"
-        )
+        kind = "STORE" if self.is_write else "LOAD"
+        return f"MemAccess(addr={self.addr:#x}, {kind}, core={self.core_id})"

@@ -36,7 +36,7 @@ class FreeQueue(InlineState):
         if self.num_free <= 0:
             raise RuntimeError("allocate with no free cache frames")
         scanned = 0
-        while cpds[self.head].valid:
+        while cpds.valid[self.head]:
             self.head = (self.head + 1) % self.num_frames
             self.head_skips += 1
             scanned += 1

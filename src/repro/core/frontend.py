@@ -35,7 +35,7 @@ from repro.core.free_queue import FreeQueue
 from repro.engine.simulator import Component, Simulator
 from repro.engine.sync import Mutex
 from repro.vm.descriptors import CPDArray
-from repro.vm.page_table import PTE
+from repro.vm.page_table import PTE_C, PTE_NC, frame_of
 
 # Cost of a forced TLB shootdown (inter-processor interrupts + waits);
 # only paid on the rare fallback path when proactive eviction cannot make
@@ -96,7 +96,6 @@ class FrontEnd(Component):
         assume_all_dirty: bool = False,
     ):
         super().__init__(sim, "frontend")
-        self.cfg = cfg
         self.data_manager = data_manager
         self.page_tables = page_tables
         self.tables = tables
@@ -129,9 +128,10 @@ class FrontEnd(Component):
         self._evictions = self.stats.counter("evictions")
         self._wb_cmds = self.stats.counter("writeback_commands")
         self._tlb_skips = self.stats.counter("eviction_tlb_skips")
-        self._busy_skips = self.stats.counter("eviction_busy_skips")
-        self._shootdowns = self.stats.counter("forced_shootdowns")
-        self._flush_dirty = self.stats.counter("flushed_dirty_lines")
+        # Rare events: counted through the group, not kept as attributes.
+        for name in ("eviction_busy_skips", "forced_shootdowns",
+                     "flushed_dirty_lines"):
+            self.stats.counter(name)
 
     # ------------------------------------------------------------------
     # DC tag miss handler (Algorithm 1)
@@ -141,13 +141,13 @@ class FrontEnd(Component):
         self,
         core_id: int,
         vpn: int,
-        pte: PTE,
         addr: int,
         done: Callable[[int], None],
     ) -> None:
         """Resolve a DC tag miss; ``done(resume_time)`` fires when the
         application thread may continue."""
         t0 = self.sim.now
+        page_table = self.page_tables[core_id]
         if self._tel is not None:
             tel, inner = self._tel, done
 
@@ -174,7 +174,7 @@ class FrontEnd(Component):
             self.filling_frames += 1
             self.data_manager.fill(
                 cfn,
-                pte.page_frame_num,
+                frame_of(page_table.word(vpn)),
                 sub_block_of(addr),
                 on_offloaded=lambda c=cfn: _offloaded(c),
                 on_resume=done,
@@ -187,7 +187,7 @@ class FrontEnd(Component):
                 _find_frame()
 
         def _offloaded(cfn: int) -> None:
-            self._commit_tags(core_id, vpn, pte, cfn)
+            self._commit_tags(frame_of(page_table.word(vpn)), cfn)
             self.filling_frames -= 1
             self._tag_latency.add(self.sim.now - t0)
             self._fills.inc()
@@ -200,61 +200,54 @@ class FrontEnd(Component):
         else:
             _with_mutex()
 
-    def _commit_tags(self, core_id: int, vpn: int, pte: PTE, cfn: int) -> None:
-        """Tag management: CPD, C bit, and every mapping PTE (shared pages)."""
-        pfn = pte.page_frame_num
-        cpd = self.cpds[cfn]
-        cpd.valid = True
-        cpd.pfn = pfn
-        cpd.dirty_in_cache = False
-        cpd.tlb_directory = 0
+    def _commit_tags(self, pfn: int, cfn: int) -> None:
+        """Tag management: CPD, C bit, and every PTE mapping ``pfn``
+        (shared pages)."""
+        cpds = self.cpds
+        cpds.valid[cfn] = 1
+        cpds.pfn[cfn] = pfn
+        cpds.dirty_in_cache[cfn] = 0
+        cpds.tlb_directory[cfn] = 0
         self.tables.cached[pfn] = 1
         for map_core, map_vpn in self.tables.reverse_map(pfn):
-            mapped = self.page_tables[map_core].lookup(map_vpn)
-            if mapped is not None:
-                mapped.page_frame_num = cfn
-                mapped.cached = True
+            self.page_tables[map_core].cache(map_vpn, cfn)
 
-    def warm_fills(self, pages, ptes) -> None:
+    def warm_fills(self, pages) -> None:
         """Zero-cost fills for the warmup fast-forward.
 
-        ``pages`` are ``(core, vpn, dirty)`` in warm order and ``ptes``
-        their PTEs.  Each page still uncached takes a frame and commits
-        its tags without traffic, timing, or statistics, evicting from
-        the tail first when the free count is at the threshold.
+        ``pages`` are ``(core, vpn, dirty)`` in warm order, all touched.
+        Each page still uncached when its turn comes (a repeat or a
+        shared frame may have cached it) takes a frame and commits its
+        tags without traffic, timing, or statistics, evicting from the
+        tail first when the free count is at the threshold.
         """
         fq = self.free_queue
         cpds = self.cpds
-        for (core_id, vpn, dirty), pte in zip(pages, ptes):
-            if not pte.is_tag_miss:
+        page_tables = self.page_tables
+        for core_id, vpn, dirty in pages:
+            word = page_tables[core_id].word(vpn)
+            if word & (PTE_C | PTE_NC):
                 continue
             if fq.num_free <= self.eviction_threshold:
                 self._warm_evict(self.eviction_batch)
             if fq.num_free <= 0:
                 continue
             cfn = fq.allocate(cpds)
-            self._commit_tags(core_id, vpn, pte, cfn)
+            self._commit_tags(frame_of(word), cfn)
             if dirty:
-                cpds[cfn].dirty_in_cache = True
+                cpds.dirty_in_cache[cfn] = 1
 
     def _warm_evict(self, n: int) -> None:
         fq = self.free_queue
-        evicted = 0
-        scanned = 0
+        valid = self.cpds.valid
+        directory = self.cpds.tlb_directory
+        evicted = scanned = 0
         while evicted < n and fq.allocated > 0 and scanned < fq.num_frames:
-            cpd = self.cpds[fq.tail]
+            cfn = fq.advance_tail()
             scanned += 1
-            if not cpd.valid:
-                fq.advance_tail()
+            if not valid[cfn] or directory[cfn]:
                 continue
-            if cpd.in_any_tlb:
-                fq.advance_tail()
-                continue
-            fq.advance_tail()
-            self._restore_ptes(cpd)
-            cpd.valid = False
-            cpd.dirty_in_cache = False
-            fq.mark_freed()
+            self._release_frame(cfn)
             evicted += 1
 
     # ------------------------------------------------------------------
@@ -290,70 +283,69 @@ class FrontEnd(Component):
 
     def _daemon_step(self) -> None:
         fq = self.free_queue
+        valid = self.cpds.valid
+        directory = self.cpds.tlb_directory
         while True:
             if self._evict_remaining <= 0 or fq.allocated == 0:
                 self._daemon_finish()
                 return
-            cpd = self.cpds[fq.tail]
-            if not cpd.valid:
+            tail = fq.tail
+            if not valid[tail]:
                 fq.advance_tail()
                 continue
-            if cpd.in_any_tlb or self.data_manager.frame_busy(cpd.cfn):
-                if cpd.in_any_tlb:
-                    self._tlb_skips.inc()
-                else:
-                    self._busy_skips.inc()
-                fq.advance_tail()
-                self._evict_remaining -= 1
-                continue
-            break
+            if directory[tail]:
+                self._tlb_skips.inc()
+            elif self.data_manager.frame_busy(tail):
+                self.stats.counter("eviction_busy_skips").inc()
+            else:
+                break
+            fq.advance_tail()
+            self._evict_remaining -= 1
         cfn = fq.advance_tail()
         self._evict_remaining -= 1
         self._evict_frame(cfn, self.eviction_cost, self._daemon_step)
 
     def _evict_frame(self, cfn: int, cost: int, cont: Callable[[], None]) -> None:
         """Reclaim one frame; ``cont`` resumes the daemon afterwards."""
-        cpd = self.cpds[cfn]
-        dirty = cpd.dirty_in_cache or self.assume_all_dirty
+        pfn = self.cpds.pfn[cfn]
+        dirty = self.cpds.dirty_in_cache[cfn] or self.assume_all_dirty
         # Flush SRAM lines of every mapping (Algorithm 2, line 3); dirty
         # lines must reach the DRAM cache before the page copies out.
         if self.flush_on_evict:
-            for map_core, map_vpn in self.tables.reverse_map(cpd.pfn):
+            for map_core, map_vpn in self.tables.reverse_map(pfn):
                 for line_addr in self.hierarchy.invalidate_page(map_core, map_vpn):
                     self.hbm.access(
                         line_addr & ~DC_SPACE_BIT, True, TrafficClass.WRITEBACK
                     )
-                    self._flush_dirty.inc()
+                    self.stats.counter("flushed_dirty_lines").inc()
                     dirty = True
         else:
             # Ideal mode: SRAM lines stay valid; just point them back at
             # the physical frame so later dirty evictions route sanely.
-            for map_core, map_vpn in self.tables.reverse_map(cpd.pfn):
-                self.hierarchy.retarget_page(
-                    map_core, map_vpn, cpd.pfn * 4096
-                )
-        self._restore_ptes(cpd)
-        cpd.valid = False
-        cpd.dirty_in_cache = False
-        self.free_queue.mark_freed()
+            for map_core, map_vpn in self.tables.reverse_map(pfn):
+                self.hierarchy.retarget_page(map_core, map_vpn, pfn * 4096)
+        self._release_frame(cfn)
         self._batch_freed += 1
         self._evictions.inc()
         if dirty:
             self._wb_cmds.inc()
             self.data_manager.writeback(
-                cfn, cpd.pfn, on_offloaded=lambda: self.sim.schedule(cost, cont)
+                cfn, pfn, on_offloaded=lambda: self.sim.schedule(cost, cont)
             )
         else:
             self.sim.schedule(cost, cont)
 
-    def _restore_ptes(self, cpd) -> None:
-        self.tables.cached[cpd.pfn] = 0
-        for map_core, map_vpn in self.tables.reverse_map(cpd.pfn):
-            mapped = self.page_tables[map_core].lookup(map_vpn)
-            if mapped is not None and mapped.cached and mapped.page_frame_num == cpd.cfn:
-                mapped.page_frame_num = cpd.pfn
-                mapped.cached = False
-                mapped.dirty_in_cache = False
+    def _release_frame(self, cfn: int) -> None:
+        """Restore the PTEs mapping ``cfn`` through the reverse map, clear
+        the frame's C bit and CPD, and count it free."""
+        cpds = self.cpds
+        pfn = cpds.pfn[cfn]
+        self.tables.cached[pfn] = 0
+        for map_core, map_vpn in self.tables.reverse_map(pfn):
+            self.page_tables[map_core].uncache(map_vpn, cfn, pfn)
+        cpds.valid[cfn] = 0
+        cpds.dirty_in_cache[cfn] = 0
+        self.free_queue.mark_freed()
 
     def _daemon_finish(self) -> None:
         if self._tel is not None:
@@ -375,23 +367,20 @@ class FrontEnd(Component):
 
     def _force_shootdown_evict(self) -> None:
         fq = self.free_queue
+        cpds = self.cpds
         scanned = 0
         while scanned < fq.num_frames:
-            cpd = self.cpds[fq.tail]
+            tail = fq.tail
             scanned += 1
-            if cpd.valid and not self.data_manager.frame_busy(cpd.cfn):
-                for map_core, map_vpn in self.tables.reverse_map(cpd.pfn):
-                    self._shootdown(map_core, map_vpn)
-                self._shootdowns.inc()
+            if cpds.valid[tail] and not self.data_manager.frame_busy(tail):
+                for map_core, map_vpn in self.tables.reverse_map(cpds.pfn[tail]):
+                    if self._tlbs is not None:
+                        self._tlbs[map_core].invalidate(map_vpn)
+                self.stats.counter("forced_shootdowns").inc()
                 cfn = fq.advance_tail()
                 self._evict_frame(cfn, TLB_SHOOTDOWN_COST, lambda: None)
                 return
             fq.advance_tail()
-
-    def _shootdown(self, core_id: int, vpn: int) -> None:
-        """Invalidate one translation everywhere (the expensive path)."""
-        if self._tlbs is not None:
-            self._tlbs[core_id].invalidate(vpn)
 
     def attach_tlbs(self, tlbs) -> None:
         """Give the front-end shootdown access to the per-core TLBs."""
@@ -417,11 +406,15 @@ class FrontEnd(Component):
     # TLB directory maintenance (called from the scheme's TLB hooks)
     # ------------------------------------------------------------------
 
-    def tlb_changed(self, core_id: int, pte: PTE, installed: bool) -> None:
-        if not pte.cached:
+    def tlb_changed(self, core_id: int, vpn: int, installed: bool) -> None:
+        """Core ``core_id``'s TLB installed or evicted ``vpn``: set or
+        clear its directory bit on the frame the PTE maps right now."""
+        word = self.page_tables[core_id].word(vpn)
+        if not word & PTE_C:
             return
-        cpd = self.cpds[pte.page_frame_num]
+        directory = self.cpds.tlb_directory
+        cfn = frame_of(word)
         if installed:
-            cpd.set_tlb_bit(core_id)
+            directory[cfn] |= 1 << core_id
         else:
-            cpd.clear_tlb_bit(core_id)
+            directory[cfn] &= ~(1 << core_id)

@@ -65,9 +65,8 @@ class NomadScheme(OSManagedScheme):
         )
         self.frontend.attach_tlbs(self.tlbs)
         self._data_hits_fast = self.stats.counter("uncached_accesses")
-        # dc_access bindings: one probe + CPD poke per LLC miss.
+        # dc_access bindings: one probe per LLC miss.
         self._probe = self.backend.probe
-        self._cpd_list = self.frontend.cpds._cpds
         self._pcshr_lookup = nomad_cfg.pcshr_lookup_latency
         self._hbm_access = self.hbm.access
         self._ddr_access = self.ddr.access
@@ -95,7 +94,7 @@ class NomadScheme(OSManagedScheme):
             # No matched tag: the whole page is resident (data hit).
             self.backend.note_data_hit()
             if access.is_write:
-                self._cpd_list[cfn].dirty_in_cache = True
+                self.frontend.cpds.dirty_in_cache[cfn] = 1
 
             def _done() -> None:
                 end = self.sim.now + lookup
@@ -108,7 +107,7 @@ class NomadScheme(OSManagedScheme):
         # Data miss: the page is still in transfer.
         sub = (hbm_addr >> 6) & 63
         if access.is_write:
-            self._cpd_list[cfn].dirty_in_cache = True
+            self.frontend.cpds.dirty_in_cache[cfn] = 1
             t = self.backend.write_data_miss(pcshr, sub) + lookup
             self.sim.schedule_at(t, lambda: fill_cb(t))
             self._record_dc_access(start, t)
@@ -127,7 +126,7 @@ class NomadScheme(OSManagedScheme):
             return
         hbm_addr = paddr & ~DC_SPACE_BIT
         cfn = hbm_addr >> 12
-        self.frontend.cpds[cfn].dirty_in_cache = True
+        self.frontend.cpds.dirty_in_cache[cfn] = 1
         pcshr = self.backend.probe(cfn)
         if pcshr is not None:
             self.backend.write_data_miss(pcshr, (hbm_addr >> 6) & 63)

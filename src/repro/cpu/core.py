@@ -28,12 +28,29 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterator, Optional
 
-from repro.common.types import AccessType, MemAccess
+from repro.common.types import MemAccess
 from repro.config.system import CoreConfig
 from repro.engine.simulator import Component, Simulator
 
-_LOAD = AccessType.LOAD
-_STORE = AccessType.STORE
+
+class StallCounters:
+    """A core's stall-cycle and miss counters.
+
+    Kept off the core itself so the core's own attributes stay within
+    CPython's inline-attribute limit (see ``repro.common.inline_state``).
+    """
+
+    __slots__ = ("window", "store", "dep", "os", "tlb", "tlb_misses",
+                 "tag_misses")
+
+    def __init__(self):
+        self.window = 0
+        self.store = 0
+        self.dep = 0
+        self.os = 0
+        self.tlb = 0
+        self.tlb_misses = 0
+        self.tag_misses = 0
 
 
 class Core(Component):
@@ -51,18 +68,14 @@ class Core(Component):
         super().__init__(sim, f"core{core_id}")
         self.core_id = core_id
         self.cfg = cfg
-        self.width = cfg.width
-        self.rob_size = cfg.rob_size
         self.scheme = scheme
-        self.trace = iter(trace)
-        self._next_op = self.trace.__next__  # bound once; called per op
+        self._next_op = iter(trace).__next__  # bound once; called per op
         self.on_finish = on_finish
 
         # Dispatch-clock state (may run ahead of sim.now).
         self.dispatch_cycles = 0
         self._slack = 0  # instructions dispatched in the current cycle
         self.inst_count = 0
-        self.mem_ops = 0
         self.loads = 0
         self.stores = 0
 
@@ -75,46 +88,35 @@ class Core(Component):
         self._waiting = False  # blocked on a load completion
         self._dep_wait = None  # entry of a dependent load being waited on
         self._draining = False
-        self.done = False
         self.finish_time: Optional[int] = None
 
-        # Store buffer: missed stores in flight; dispatch stalls when full.
-        self.store_buffer = cfg.store_buffer
+        # Missed stores in flight; dispatch stalls when the store buffer
+        # (cfg.store_buffer) is full.
         self.outstanding_stores = 0
         self._store_blocked = False
 
-        # Stall accounting (cycles).
-        self.window_stall_cycles = 0
-        self.store_stall_cycles = 0
-        self.dep_stall_cycles = 0
-        self.os_stall_cycles = 0
-        self.tlb_stall_cycles = 0
-        self.tlb_misses = 0
-        self.tag_miss_count = 0
+        self.stalls = StallCounters()
+        # Per-op scheme calls, bound by start().  Assigned here too: on
+        # CPython 3.11 every new instance shrinks the room a class has
+        # for attribute names first set after __init__, and a name that
+        # no longer fits materializes the instance dict.
+        self._tlb_lookup = self._hier_access = self._translate = None
 
     # Attributes derived from the trace or bound from the scheme by
-    # start(); dropped from snapshots (iterators do not pickle, and the
-    # trace itself is re-materialized from (spec, seed) on restore).
-    _TRANSIENT = (
-        "trace", "_next_op", "_tlb_lookup", "_hier_access", "_translate",
-    )
+    # start(); pickled as None (iterators do not pickle, and the trace
+    # itself is re-materialized from (spec, seed) on restore).
+    _TRANSIENT = ("_next_op", "_tlb_lookup", "_hier_access", "_translate")
 
     def __getstate__(self) -> dict:
         # Pickling reads the instance dict anyway (see InlineState).
         state = dict(self.__dict__)
         for name in self._TRANSIENT:
-            state.pop(name, None)
+            state[name] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self.trace = None
-        self._next_op = None
 
     def attach_trace(self, trace: Iterator) -> None:
         """Give a restored core its (re-materialized) trace back."""
-        self.trace = iter(trace)
-        self._next_op = self.trace.__next__
+        self._next_op = iter(trace).__next__
 
     # -- public API -------------------------------------------------------
 
@@ -125,7 +127,7 @@ class Core(Component):
         scheme = self.scheme
         self._tlb_lookup = scheme.tlbs[self.core_id].lookup
         self._hier_access = scheme.hierarchy.access
-        self._translate = scheme.translate_addr
+        self._translate = scheme.page_tables[self.core_id].translate
         self.sim.schedule(0, self._advance)
 
     def guard_state(self) -> dict:
@@ -142,6 +144,22 @@ class Core(Component):
         }
 
     @property
+    def done(self) -> bool:
+        return self.finish_time is not None
+
+    @property
+    def mem_ops(self) -> int:
+        return self.loads + self.stores
+
+    @property
+    def os_stall_cycles(self) -> int:
+        return self.stalls.os
+
+    @property
+    def tlb_misses(self) -> int:
+        return self.stalls.tlb_misses
+
+    @property
     def ipc(self) -> float:
         if not self.finish_time:
             return 0.0
@@ -149,12 +167,13 @@ class Core(Component):
 
     def stall_breakdown(self) -> dict:
         total = self.finish_time or 1
+        stalls = self.stalls
         return {
-            "os": self.os_stall_cycles / total,
-            "window": self.window_stall_cycles / total,
-            "store": self.store_stall_cycles / total,
-            "dep": self.dep_stall_cycles / total,
-            "tlb": self.tlb_stall_cycles / total,
+            "os": stalls.os / total,
+            "window": stalls.window / total,
+            "store": stalls.store / total,
+            "dep": stalls.dep / total,
+            "tlb": stalls.tlb / total,
         }
 
     # -- dispatch engine ----------------------------------------------------
@@ -166,11 +185,14 @@ class Core(Component):
         self._waiting = False
         # Loop-invariant attributes bound once per activation (the loop
         # body runs once per trace op).
-        width = self.width
-        rob_size = self.rob_size
+        cfg = self.cfg
+        width = cfg.width
+        rob_size = cfg.rob_size
+        store_buffer = cfg.store_buffer
         outstanding = self.outstanding
         next_op = self._next_op
         tlb_lookup = self._tlb_lookup
+        stalls = self.stalls
         while True:
             if self._pending_op is None:
                 try:
@@ -198,14 +220,14 @@ class Core(Component):
                     blocked = True
                     break
                 if head[1] > d:
-                    self.window_stall_cycles += head[1] - d
+                    stalls.window += head[1] - d
                     d = head[1]
                 outstanding.popleft()
             if blocked:
                 self._d_candidate = d
                 return
 
-            if self.outstanding_stores >= self.store_buffer:
+            if self.outstanding_stores >= store_buffer:
                 self._d_candidate = d
                 self._store_blocked = True
                 self._waiting = True
@@ -213,10 +235,10 @@ class Core(Component):
 
             _, addr, is_write, dependent = self._pending_op
             vpn = addr >> 12
-            tlb_result = tlb_lookup(vpn)
-            if tlb_result is None:
-                self.tlb_misses += 1
-                pte, walk, needs_os = self.scheme.peek_translate(self.core_id, vpn)
+            extra_lat = tlb_lookup(vpn)
+            if extra_lat is None:
+                stalls.tlb_misses += 1
+                walk, needs_os = self.scheme.peek_translate(self.core_id, vpn)
                 if needs_os:
                     # A DC tag miss: the OS suspends the thread, so we
                     # must synchronize with simulated time first.
@@ -228,15 +250,11 @@ class Core(Component):
                     return
                 # Plain walk: overlapped by the hardware walker; charge
                 # it as extra latency on this access only.
-                self.tlb_stall_cycles += walk
-                if not self._issue_and_handle_dep(
-                    pte, walk, d, addr, is_write, idx, dependent
-                ):
-                    return
-                continue
-
-            pte, extra_lat = tlb_result
-            if not self._issue_and_handle_dep(pte, extra_lat, d, addr, is_write, idx, dependent):
+                stalls.tlb += walk
+                extra_lat = walk
+            if not self._issue_and_handle_dep(
+                vpn, extra_lat, d, addr, is_write, idx, dependent
+            ):
                 return
 
     def _tlb_miss_now(self) -> None:
@@ -247,46 +265,41 @@ class Core(Component):
         _, addr, is_write, dependent = self._pending_op
         vpn = addr >> 12
         self.scheme.translate_miss(
-            self.core_id,
-            vpn,
-            d,
-            lambda ready, pte: self._translation_done(ready, pte),
-            addr=addr,
+            self.core_id, vpn, d, self._translation_done, addr=addr,
         )
 
-    def _translation_done(self, ready: int, pte) -> None:
+    def _translation_done(self, ready: int) -> None:
         """The walk (and any OS miss handling) finished at ``ready``."""
         d = self._d_candidate
         walk = self.scheme.walk_latency
-        self.tlb_stall_cycles += min(ready - d, walk)
+        stalls = self.stalls
+        stalls.tlb += min(ready - d, walk)
         os_part = ready - d - walk
         if os_part > 0:
-            self.os_stall_cycles += os_part
-            self.tag_miss_count += 1
+            stalls.os += os_part
+            stalls.tag_misses += 1
         _, addr, is_write, dependent = self._pending_op
         idx = self._idx_candidate
         # The OS suspension pushed the dispatch clock itself.
         self._d_candidate = ready
-        if self._issue_and_handle_dep(pte, 0, ready, addr, is_write, idx, dependent):
+        if self._issue_and_handle_dep(
+            addr >> 12, 0, ready, addr, is_write, idx, dependent
+        ):
             self._advance()
 
     def _issue_and_handle_dep(
-        self, pte, extra_lat, d, addr, is_write, idx, dependent
+        self, vpn, extra_lat, d, addr, is_write, idx, dependent
     ) -> bool:
         """Issue one op into the hierarchy; False pauses dispatch.
 
         Runs once per memory op (the former separate ``_issue`` helper
-        is folded in to drop a call frame).
+        is folded in to drop a call frame).  The translation is read from
+        the page table now, as the access issues.
         """
         issue_time = d + extra_lat
         access = MemAccess(
-            addr,
-            _STORE if is_write else _LOAD,
-            self.core_id,
-            issue_time,
+            addr, is_write, self.core_id, self._translate(vpn, addr)
         )
-        access.paddr = self._translate(pte, addr)
-        self.mem_ops += 1
         entry = None
         if is_write:
             self.stores += 1
@@ -315,7 +328,7 @@ class Core(Component):
             self._dep_wait = entry
             return False
         if completion > self.dispatch_cycles:
-            self.dep_stall_cycles += completion - self.dispatch_cycles
+            self.stalls.dep += completion - self.dispatch_cycles
             self.dispatch_cycles = completion
         return True
 
@@ -326,7 +339,7 @@ class Core(Component):
             self._store_blocked = False
             d = self._d_candidate
             if d is not None and t > d:
-                self.store_stall_cycles += t - d
+                self.stalls.store += t - d
                 self._d_candidate = t
             self._advance()
         elif self._draining:
@@ -338,7 +351,7 @@ class Core(Component):
             if self._dep_wait is entry:
                 self._dep_wait = None
                 if t > self.dispatch_cycles:
-                    self.dep_stall_cycles += t - self.dispatch_cycles
+                    self.stalls.dep += t - self.dispatch_cycles
                     self.dispatch_cycles = t
                 self._advance()
             elif self._waiting:
@@ -364,7 +377,6 @@ class Core(Component):
             if entry[1] > end:
                 end = entry[1]
         self.outstanding.clear()
-        self.done = True
         self.finish_time = max(end, self.sim.now)
         if self.on_finish is not None:
             self.on_finish(self)

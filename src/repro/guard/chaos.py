@@ -19,6 +19,7 @@ import heapq
 from typing import Callable, Dict, Optional
 
 from repro.common.types import SUB_BLOCKS_PER_PAGE
+from repro.vm.page_table import PTE_C, frame_of
 
 INJECTIONS: Dict[str, Callable] = {}
 
@@ -132,12 +133,13 @@ def tlb_desync(machine) -> Optional[str]:
     if frontend is None or not tlbs:
         return None
     cpds = frontend.cpds
-    for tlb in tlbs:
-        for pte in tlb._l2.values():
-            if pte.cached and 0 <= pte.page_frame_num < len(cpds):
-                cpd = cpds[pte.page_frame_num]
-                if cpd.valid and cpd.tlb_directory:
-                    cpd.tlb_directory = 0
+    for tlb, page_table in zip(tlbs, machine.scheme.page_tables):
+        for vpn in tlb._l2:
+            word = page_table.word(vpn)
+            cfn = frame_of(word)
+            if word & PTE_C and 0 <= cfn < len(cpds):
+                if cpds.valid[cfn] and cpds.tlb_directory[cfn]:
+                    cpds.tlb_directory[cfn] = 0
                     return "tlb_coherence"
     return None
 

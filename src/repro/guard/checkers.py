@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Callable, List, Tuple
 
 from repro.common.types import SUB_BLOCKS_PER_PAGE
+from repro.vm.page_table import PTE_C, frame_of
 
 # A checker registration: (checker_name, component_name, thunk).
 CheckerEntry = Tuple[str, str, Callable[[], List[str]]]
@@ -62,16 +63,17 @@ def check_event_queue(sim) -> List[str]:
 def check_rob(core) -> List[str]:
     problems: List[str] = []
     outstanding = core.outstanding
-    limit = core.rob_size + core.width
+    cfg = core.cfg
+    limit = cfg.rob_size + cfg.width
     if len(outstanding) > limit:
         problems.append(
             f"{len(outstanding)} loads in flight exceeds the ROB window "
-            f"({core.rob_size} + width {core.width})"
+            f"({cfg.rob_size} + width {cfg.width})"
         )
-    if not 0 <= core.outstanding_stores <= core.store_buffer:
+    if not 0 <= core.outstanding_stores <= cfg.store_buffer:
         problems.append(
             f"outstanding_stores={core.outstanding_stores} outside "
-            f"[0, {core.store_buffer}]"
+            f"[0, {cfg.store_buffer}]"
         )
     prev = None
     for entry in outstanding:
@@ -216,7 +218,7 @@ def check_frames(frontend) -> List[str]:
     problems: List[str] = []
     fq = frontend.free_queue
     cpds = frontend.cpds
-    valid = cpds.valid_count()
+    valid = cpds.valid.count(1)
     # A frame handed to a fill stays invalid until its tags commit.
     in_use = valid + frontend.filling_frames
     if fq.num_free != fq.num_frames - in_use:
@@ -231,23 +233,21 @@ def check_frames(frontend) -> List[str]:
         )
     seen_pfns = {}
     c_bits = frontend.tables.cached
-    for cfn in range(len(cpds)):
-        cpd = cpds[cfn]
-        if not cpd.valid:
+    for cfn, is_valid in enumerate(cpds.valid):
+        if not is_valid:
             continue
-        if cpd.pfn in seen_pfns:
+        pfn = cpds.pfn[cfn]
+        if pfn in seen_pfns:
             problems.append(
-                f"pfn {cpd.pfn} cached in two frames "
-                f"(cfn {seen_pfns[cpd.pfn]} and {cfn})"
+                f"pfn {pfn} cached in two frames "
+                f"(cfn {seen_pfns[pfn]} and {cfn})"
             )
-        seen_pfns[cpd.pfn] = cfn
-        if not 0 <= cpd.pfn < len(c_bits):
+        seen_pfns[pfn] = cfn
+        if not 0 <= pfn < len(c_bits):
+            problems.append(f"cfn {cfn} caches unknown pfn {pfn}")
+        elif not c_bits[pfn]:
             problems.append(
-                f"cfn {cfn} caches unknown pfn {cpd.pfn}"
-            )
-        elif not c_bits[cpd.pfn]:
-            problems.append(
-                f"cfn {cfn} caches pfn {cpd.pfn} but its C bit is clear"
+                f"cfn {cfn} caches pfn {pfn} but its C bit is clear"
             )
     return problems
 
@@ -259,11 +259,11 @@ def check_frames(frontend) -> List[str]:
 def check_tlb_coherence(scheme, frontend) -> List[str]:
     """Cached PTEs resident in a TLB must agree with the CPD directory.
 
-    Forward: a TLB-resident PTE with the cached bit must point at a
-    valid frame whose TLB-directory bit for that core is set (else the
-    eviction daemon would reclaim a frame a core can still reach without
-    a shootdown).  Reverse: a set directory bit must correspond to a
-    translation actually resident in that core's TLB (a stale bit
+    Forward: a TLB-resident VPN whose PTE has the cached bit must point
+    at a valid frame whose TLB-directory bit for that core is set (else
+    the eviction daemon would reclaim a frame a core can still reach
+    without a shootdown).  Reverse: a set directory bit must correspond
+    to a translation actually resident in that core's TLB (a stale bit
     permanently pins the frame).
     """
     problems: List[str] = []
@@ -272,11 +272,13 @@ def check_tlb_coherence(scheme, frontend) -> List[str]:
     per_core_cfns: List[set] = []
     for core_id, tlb in enumerate(tlbs):
         problems.extend(tlb.consistency_problems())
+        page_table = scheme.page_tables[core_id]
         cfns = set()
-        for vpn, pte in tlb._l2.items():
-            if not pte.cached:
+        for vpn in tlb._l2:
+            word = page_table.word(vpn)
+            if not word & PTE_C:
                 continue
-            cfn = pte.page_frame_num
+            cfn = frame_of(word)
             if not 0 <= cfn < len(cpds):
                 problems.append(
                     f"core{core_id} TLB entry vpn={vpn} cached with "
@@ -284,24 +286,21 @@ def check_tlb_coherence(scheme, frontend) -> List[str]:
                 )
                 continue
             cfns.add(cfn)
-            cpd = cpds[cfn]
-            if not cpd.valid:
+            if not cpds.valid[cfn]:
                 problems.append(
                     f"core{core_id} TLB entry vpn={vpn} points at "
                     f"invalid frame cfn={cfn}"
                 )
-            elif not (cpd.tlb_directory >> core_id) & 1:
+            elif not (cpds.tlb_directory[cfn] >> core_id) & 1:
                 problems.append(
                     f"cfn {cfn} resident in core{core_id}'s TLB "
                     f"(vpn={vpn}) but its TLB-directory bit is clear: "
                     f"eviction would skip the shootdown"
                 )
         per_core_cfns.append(cfns)
-    for cfn in range(len(cpds)):
-        cpd = cpds[cfn]
-        if not cpd.valid or not cpd.tlb_directory:
+    for cfn, directory in enumerate(cpds.tlb_directory):
+        if not directory or not cpds.valid[cfn]:
             continue
-        directory = cpd.tlb_directory
         for core_id in range(len(per_core_cfns)):
             if (directory >> core_id) & 1 and cfn not in per_core_cfns[core_id]:
                 problems.append(

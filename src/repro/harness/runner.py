@@ -248,8 +248,7 @@ def prime(cfg: RunConfig, result: MachineResult) -> None:
         _STORE.put(cfg, result)
 
 
-def run_workload(cfg: RunConfig, guard=None, telemetry=None,
-                 prime_snapshots: bool = True) -> MachineResult:
+def run_workload(cfg: RunConfig, guard=None, telemetry=None) -> MachineResult:
     """Run (or fetch the cached result of) one configuration.
 
     ``guard`` (``True`` / ``GuardConfig`` / ``Guard``) opts into
@@ -262,11 +261,6 @@ def run_workload(cfg: RunConfig, guard=None, telemetry=None,
     into observability.  Telemetry runs always simulate (a cached result
     has no trace), but -- being bit-identical by construction -- their
     results are safe to prime into the caches when unguarded.
-
-    ``prime_snapshots=False`` keeps a fresh build out of the snapshot
-    cache: campaigns pass it for configs no later run of theirs can
-    fork, since a dump costs time and slows the dumped machine's run
-    (see :mod:`repro.common.inline_state`).
     """
     if guard is not None and guard is not False:
         result, _machine = simulate(cfg, guard=guard, telemetry=telemetry)
@@ -278,12 +272,13 @@ def run_workload(cfg: RunConfig, guard=None, telemetry=None,
     cached, _source = cached_result(cfg)
     if cached is not None:
         return cached
-    result = _build(cfg, prime_snapshots=prime_snapshots).run()
+    result = _build(cfg).run()
     prime(cfg, result)
     return result
 
 
-def simulate(cfg: RunConfig, guard=None, telemetry=None):
+def simulate(cfg: RunConfig, guard=None, telemetry=None,
+             prime_snapshots: bool = True):
     """Always-fresh simulation; returns ``(result, machine)``.
 
     The machine comes back for callers that need post-run state the
@@ -292,6 +287,11 @@ def simulate(cfg: RunConfig, guard=None, telemetry=None):
     ``run_workload`` layers that policy on top.  The build may still be
     served by forking a cached machine snapshot (bit-identical to a
     fresh build); guarded/observed runs never prime that cache.
+
+    ``prime_snapshots=False`` keeps a fresh build out of the snapshot
+    cache: campaigns pass it for configs no later run of theirs can
+    fork, since a dump costs time and slows the dumped machine's run
+    (see :mod:`repro.common.inline_state`).
     """
     guard_obj = None
     if guard is not None and guard is not False:
@@ -301,7 +301,7 @@ def simulate(cfg: RunConfig, guard=None, telemetry=None):
     observed = guard_obj is not None or (
         telemetry is not None and telemetry is not False
     )
-    machine = _build(cfg, prime_snapshots=not observed)
+    machine = _build(cfg, prime_snapshots=prime_snapshots and not observed)
     result = machine.run(guard=guard_obj, telemetry=telemetry)
     return result, machine
 

@@ -10,7 +10,8 @@ model uses two of its structures directly and three of its methods:
 * :meth:`translate_miss` -- asynchronous walk + scheme-specific OS work
   (this is where OS-managed schemes, :class:`OSManagedScheme`, run
   their DC tag miss handlers),
-* :meth:`translate_addr` -- PTE + virtual address -> routed byte address,
+* ``page_tables[core_id].translate`` -- VPN + virtual address -> routed
+  byte address, from the PTE as it is at that moment,
 * ``hierarchy.access`` -- issue into L1/L2/L3; LLC misses call back
   into the scheme's :meth:`dc_access`.
 
@@ -28,8 +29,8 @@ from repro.common.types import DC_SPACE_BIT, MemAccess, PAGE_SIZE, TrafficClass
 from repro.config.system import SystemConfig
 from repro.dram.device import DRAMDevice
 from repro.engine.simulator import Component, Simulator
-from repro.vm.descriptors import DescriptorTables
-from repro.vm.page_table import PTE, PageTable, touch_pages
+from repro.vm.descriptors import MAX_CORES, DescriptorTables
+from repro.vm.page_table import PageTable, is_tag_miss, touch_pages
 from repro.vm.tlb import TLB
 from repro.vm.walker import PageWalker
 
@@ -61,8 +62,8 @@ class _TLBHook:
         self.core_id = core_id
         self.installed = installed
 
-    def __call__(self, vpn: int, pte: PTE) -> None:
-        self.scheme.on_tlb_change(self.core_id, vpn, pte, self.installed)
+    def __call__(self, vpn: int) -> None:
+        self.scheme.on_tlb_change(self.core_id, vpn, self.installed)
 
     def __getstate__(self):
         return (self.scheme, self.core_id, self.installed)
@@ -71,12 +72,51 @@ class _TLBHook:
         self.scheme, self.core_id, self.installed = state
 
 
+class _DCAccessTimes:
+    """Plain-int DC access-time totals and the stats they flush into.
+
+    ``SchemeBase._record_dc_access`` runs once per LLC miss, so it adds
+    to these slots, and :meth:`flush` (the scheme's ``set_sync`` hook)
+    overwrites the StatGroup objects with the totals on read (see the
+    stats module docstring).
+    """
+
+    __slots__ = ("count", "total", "min", "max", "buckets",
+                 "mean_stat", "hist_stat", "reads_stat")
+
+    def __init__(self, stats):
+        self.mean_stat = stats.mean("dc_access_time")
+        self.hist_stat = stats.histogram("dc_access_time_hist")
+        self.reads_stat = stats.counter("dc_reads")
+        self.count = 0
+        self.total = 0
+        self.min: Optional[int] = None
+        self.max: Optional[int] = None
+        self.buckets: dict = {}
+
+    def flush(self) -> None:
+        self.reads_stat.value = self.count
+        mean = self.mean_stat
+        mean.count = self.count
+        mean.total = self.total
+        mean.min = self.min
+        mean.max = self.max
+        hist = self.hist_stat
+        hist.count = self.count
+        hist.total = self.total
+        hist.buckets.clear()
+        hist.buckets.update(self.buckets)
+
+
 class SchemeBase(Component):
     """Abstract DRAM cache scheme + the memory system it governs."""
 
     scheme_name = "abstract"
 
     def __init__(self, sim: Simulator, cfg: SystemConfig):
+        if cfg.num_cores > MAX_CORES:
+            raise ValueError(f"at most {MAX_CORES} cores are supported, "
+                             f"got {cfg.num_cores}")
         super().__init__(sim, f"scheme.{self.scheme_name}")
         self.cfg = cfg
         freq = cfg.core.freq_ghz
@@ -96,33 +136,25 @@ class SchemeBase(Component):
             )
             for i in range(cfg.num_cores)
         ]
-        self.walk_latency = cfg.tlb.walk_latency
         self.hierarchy = CacheHierarchy(sim, cfg, self.dc_access, self.dc_writeback)
 
-        self._dc_access_time = self.stats.mean("dc_access_time")
-        self._dc_access_hist = self.stats.histogram("dc_access_time_hist")
-        self._dc_reads = self.stats.counter("dc_reads")
+        self._dc_times = _DCAccessTimes(self.stats)
+        self.stats.set_sync(self._dc_times.flush)
+        # The fill/writeback counters stay direct Counter objects: they
+        # fire at page, not line, granularity.
         self._fills = self.stats.counter("page_fills")
         self._writebacks = self.stats.counter("page_writebacks")
 
-        # _record_dc_access runs once per LLC miss, so it accumulates
-        # plain ints and _sync_dc_stats flushes them into the StatGroup
-        # objects above on read (see the stats module docstring).  The
-        # fill/writeback counters stay direct Counter objects: they fire
-        # at page, not line, granularity.
-        self._dc_time_count = 0
-        self._dc_time_total = 0
-        self._dc_time_min: Optional[int] = None
-        self._dc_time_max: Optional[int] = None
-        self._dc_hist_buckets: dict = {}
-        self.stats.set_sync(self._sync_dc_stats)
+    @property
+    def walk_latency(self) -> int:
+        return self.cfg.tlb.walk_latency
 
     # -- TLB directory hooks (overridden where CPDs exist) ----------------
 
     def _make_tlb_hook(self, core_id: int, installed: bool) -> _TLBHook:
         return _TLBHook(self, core_id, installed)
 
-    def on_tlb_change(self, core_id: int, vpn: int, pte: PTE, installed: bool) -> None:
+    def on_tlb_change(self, core_id: int, vpn: int, installed: bool) -> None:
         """Maintain the CPD TLB directory; no-op for HW schemes."""
 
     # -- core-facing API ---------------------------------------------------
@@ -131,7 +163,7 @@ class SchemeBase(Component):
         """TLB-miss fast path: walk functionally and report whether the
         OS must intervene.
 
-        Returns ``(pte, walk_latency, needs_os)``.  When ``needs_os`` is
+        Returns ``(walk_latency, needs_os)``.  When ``needs_os`` is
         False the walk behaves like extra access latency (hardware page
         walkers overlap with execution), the translation is installed,
         and the core does NOT suspend.  When True (a DC tag miss in an
@@ -139,13 +171,13 @@ class SchemeBase(Component):
         calls :meth:`translate_miss`, which suspends the thread for the
         OS routine -- the paper's blocking semantics.
         """
-        pte, walk = self.walkers[core_id].walk(vpn)
-        if self._needs_os_intervention(pte):
-            return pte, walk, True
-        self.tlbs[core_id].install(vpn, pte)
-        return pte, walk, False
+        word, walk = self.walkers[core_id].walk(vpn)
+        if self._needs_os_intervention(word):
+            return walk, True
+        self.tlbs[core_id].install(vpn)
+        return walk, False
 
-    def _needs_os_intervention(self, pte: PTE) -> bool:
+    def _needs_os_intervention(self, pte_word: int) -> bool:
         """HW schemes never trap to the OS on a walk."""
         return False
 
@@ -154,29 +186,19 @@ class SchemeBase(Component):
         core_id: int,
         vpn: int,
         now: int,
-        done: Callable[[int, PTE], None],
+        done: Callable[[int], None],
         addr: int = 0,
     ) -> None:
         """Walk the page table; subclasses add their OS miss handling.
 
-        ``done(ready_time, pte)`` must be called at ``ready_time`` (the
-        simulator clock will read that time).
+        ``done(ready_time)`` must be called at ``ready_time`` (the
+        simulator clock will read that time), with the translation
+        installed in the core's TLB.
         """
-        pte, walk = self.walkers[core_id].walk(vpn)
+        _word, walk = self.walkers[core_id].walk(vpn)
         ready = now + walk
-        self.tlbs[core_id].install(vpn, pte)
-        self.sim.schedule_at(ready, lambda: done(ready, pte))
-
-    def translate_addr(self, pte: PTE, addr: int) -> int:
-        """Virtual byte address -> routed (DC- or PA-space) address.
-
-        Runs once per post-TLB access, so the dc_addr/pa_addr helpers are
-        inlined as shift-and-or (PAGE_SIZE is 4096 and the offset stays
-        below it, so ``pfn * PAGE_SIZE + offset == (pfn << 12) | offset``).
-        """
-        if pte.cached:
-            return DC_SPACE_BIT | (pte.page_frame_num << 12) | (addr & 4095)
-        return (pte.page_frame_num << 12) | (addr & 4095)
+        self.tlbs[core_id].install(vpn)
+        self.sim.schedule_at(ready, lambda: done(ready))
 
     # -- hierarchy-facing API ----------------------------------------------
 
@@ -195,37 +217,19 @@ class SchemeBase(Component):
 
     def _record_dc_access(self, start: int, end: int) -> None:
         lat = end - start
-        self._dc_time_count += 1
-        self._dc_time_total += lat
-        mn = self._dc_time_min
+        times = self._dc_times
+        times.count += 1
+        times.total += lat
+        mn = times.min
         if mn is None or lat < mn:
-            self._dc_time_min = lat
-        mx = self._dc_time_max
+            times.min = lat
+        mx = times.max
         if mx is None or lat > mx:
-            self._dc_time_max = lat
+            times.max = lat
         # Same power-of-two bucketing as Histogram._bucket.
         bucket = (1 << (lat.bit_length() - 1)) if lat > 0 else 0
-        buckets = self._dc_hist_buckets
+        buckets = times.buckets
         buckets[bucket] = buckets.get(bucket, 0) + 1
-
-    def _sync_dc_stats(self) -> None:
-        """Flush the plain-int DC access totals into the StatGroup objects.
-
-        Writes ``self.stats._stats[...]`` contents directly (the objects
-        were created in ``__init__``); going through ``stats.get`` would
-        re-enter this hook.
-        """
-        self._dc_reads.value = self._dc_time_count
-        mean = self._dc_access_time
-        mean.count = self._dc_time_count
-        mean.total = self._dc_time_total
-        mean.min = self._dc_time_min
-        mean.max = self._dc_time_max
-        hist = self._dc_access_hist
-        hist.count = self._dc_time_count
-        hist.total = self._dc_time_total
-        hist.buckets.clear()
-        hist.buckets.update(self._dc_hist_buckets)
 
     # -- warmup (the paper's fast-forward region) ---------------------------
 
@@ -240,8 +244,11 @@ class SchemeBase(Component):
         """
         self._warm_fills(pages, touch_pages(self.page_tables, pages))
 
-    def _warm_fills(self, pages, ptes) -> None:
-        """Scheme hook: bring the touched pages into the DRAM cache."""
+    def _warm_fills(self, pages, words) -> None:
+        """Scheme hook: bring the touched pages into the DRAM cache.
+
+        ``words`` are the pages' PTE words as their touch left them.
+        """
 
     # -- reporting ---------------------------------------------------------
 
@@ -250,8 +257,8 @@ class SchemeBase(Component):
         return self.page_fills() * PAGE_SIZE
 
     def dc_access_time_mean(self) -> float:
-        n = self._dc_time_count
-        return self._dc_time_total / n if n else 0.0
+        times = self._dc_times
+        return times.total / times.count if times.count else 0.0
 
     def dc_access_time_percentile(self, p: float) -> int:
         """Approximate percentile of DC access time (power-of-two buckets).
@@ -260,8 +267,8 @@ class SchemeBase(Component):
         blocking scheme's mean hides multi-thousand-cycle outliers that
         the p99 exposes.
         """
-        self._sync_dc_stats()
-        return self._dc_access_hist.percentile(p)
+        self._dc_times.flush()
+        return self._dc_times.hist_stat.percentile(p)
 
     def llc_misses(self) -> int:
         return self.hierarchy.llc_miss_count
@@ -283,30 +290,33 @@ class OSManagedScheme(SchemeBase):
     installed, and the warmup hands every page to the front-end.
     """
 
-    def on_tlb_change(self, core_id, vpn, pte, installed) -> None:
-        self.frontend.tlb_changed(core_id, pte, installed)
+    def on_tlb_change(self, core_id, vpn, installed) -> None:
+        self.frontend.tlb_changed(core_id, vpn, installed)
 
-    def _needs_os_intervention(self, pte) -> bool:
-        return pte.is_tag_miss
+    def _needs_os_intervention(self, pte_word) -> bool:
+        return is_tag_miss(pte_word)
 
     def translate_miss(self, core_id, vpn, now, done, addr=0) -> None:
-        pte, walk = self.walkers[core_id].walk(vpn)
+        _word, walk = self.walkers[core_id].walk(vpn)
         ready = now + walk
+        page_table = self.page_tables[core_id]
 
         def _after_walk() -> None:
-            if pte.is_tag_miss:
-                self.frontend.handle_tag_miss(core_id, vpn, pte, addr, _install)
+            # The PTE as it is now: another core's tag miss may have
+            # cached a shared page since the walk.
+            if is_tag_miss(page_table.word(vpn)):
+                self.frontend.handle_tag_miss(core_id, vpn, addr, _install)
             else:
                 _install(self.sim.now)
 
         def _install(t: int) -> None:
-            self.tlbs[core_id].install(vpn, pte)
-            done(t, pte)
+            self.tlbs[core_id].install(vpn)
+            done(t)
 
         self.sim.schedule_at(ready, _after_walk)
 
-    def _warm_fills(self, pages, ptes) -> None:
-        self.frontend.warm_fills(pages, ptes)
+    def _warm_fills(self, pages, words) -> None:
+        self.frontend.warm_fills(pages)
 
     def tag_mgmt_latency_mean(self) -> float:
         return self.frontend.stats.get("tag_mgmt_latency").mean

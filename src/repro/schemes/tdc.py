@@ -127,8 +127,7 @@ class TDCScheme(OSManagedScheme):
             assume_all_dirty=not tdc_cfg.dirty_in_cache_bits,
         )
         self.frontend.attach_tlbs(self.tlbs)
-        # dc_access bindings: one DC probe + CPD poke per LLC miss.
-        self._cpd_list = self.frontend.cpds._cpds
+        # dc_access bindings: one DC probe per LLC miss.
         self._hbm_access = self.hbm.access
         self._ddr_access = self.ddr.access
 
@@ -139,7 +138,7 @@ class TDCScheme(OSManagedScheme):
         if is_dc_addr(paddr):
             hbm_addr = paddr & ~DC_SPACE_BIT
             if access.is_write:
-                self._cpd_list[hbm_addr >> 12].dirty_in_cache = True
+                self.frontend.cpds.dirty_in_cache[hbm_addr >> 12] = 1
 
             def _done() -> None:
                 end = self.sim.now
@@ -156,7 +155,7 @@ class TDCScheme(OSManagedScheme):
     def dc_writeback(self, paddr: int) -> None:
         if is_dc_addr(paddr):
             hbm_addr = paddr & ~DC_SPACE_BIT
-            self.frontend.cpds[hbm_addr >> 12].dirty_in_cache = True
+            self.frontend.cpds.dirty_in_cache[hbm_addr >> 12] = 1
             self.hbm.access(hbm_addr, True, TrafficClass.DEMAND)
         else:
             self.ddr.access(paddr, True, TrafficClass.DEMAND)

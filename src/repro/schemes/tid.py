@@ -23,6 +23,7 @@ from repro.config.schemes import TiDConfig
 from repro.config.system import SystemConfig
 from repro.engine.simulator import Simulator
 from repro.schemes.base import SchemeBase
+from repro.vm.page_table import frame_of
 
 
 class TiDTagArray(InlineState):
@@ -353,13 +354,14 @@ class TiDScheme(SchemeBase):
         else:
             self.ddr.access(paddr, True, TrafficClass.DEMAND)
 
-    def _warm_fills(self, pages, ptes) -> None:
+    def _warm_fills(self, pages, words) -> None:
         """Pre-install every page's 1 KB lines in the tag array."""
         shift = self._line_shift
         lines_per_page = 4096 >> shift
         fill = self.tags.fill
-        for (_core, _vpn, dirty), pte in zip(pages, ptes):
-            base = (pte.page_frame_num << 12) >> shift
+        for (_core, _vpn, dirty), word in zip(pages, words):
+            # TiD keeps its tags in HBM: PTEs always hold the PFN.
+            base = (frame_of(word) << 12) >> shift
             fill(range(base, base + lines_per_page), dirty)
 
     # -- reporting ----------------------------------------------------------------

@@ -160,7 +160,7 @@ class Machine(InlineState):
         CPython 3.11+ leaves *this* machine on the slow attribute path
         for the rest of its life (its forks are not, see :meth:`restore`).
         Campaigns therefore snapshot only builds that a later run of
-        theirs will fork (``run_workload(prime_snapshots=)``).
+        theirs will fork (``simulate(prime_snapshots=)``).
         """
         import pickle
 
@@ -216,10 +216,11 @@ class Machine(InlineState):
         from repro.snapshot import SNAPSHOT_VERSION, SnapshotError
         from repro.workloads.synthetic import materialized_trace
 
-        # Unpickling materializes the whole machine graph (one object
-        # per DC frame and then some); with collection enabled every few
-        # thousand allocations trigger a full-heap GC pass, which can
-        # make a fork cost as much as the build it replaces.
+        # Unpickling materializes the whole machine graph (thousands of
+        # objects: PCSHRs, SRAM sets, TiD's tag dicts); with collection
+        # enabled every few thousand allocations trigger a full-heap GC
+        # pass, which can make a fork cost as much as the build it
+        # replaces.
         was_enabled = gc.isenabled()
         if was_enabled:
             gc.disable()
@@ -286,7 +287,7 @@ class Machine(InlineState):
         for core in self.cores:
             core.start()
         # The event loop allocates heavily (events, closures, cache
-        # lines) while the big structures (page tables, CPDs) stay live;
+        # lines) while the big structures (SRAM and TiD sets) stay live;
         # cyclic GC scans of those structures are pure overhead for the
         # duration of the run, so pause collection and let refcounting
         # do the work.  Purely a wall-clock optimization: the simulation

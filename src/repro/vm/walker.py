@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.common.inline_state import InlineState
 from repro.config.system import TLBConfig
-from repro.vm.page_table import PageTable, PTE
+from repro.vm.page_table import PageTable
 
 
 class PageWalker(InlineState):
@@ -23,7 +23,7 @@ class PageWalker(InlineState):
         self.walks = 0
 
     def walk(self, vpn: int) -> tuple:
-        """Returns ``(pte, walk_latency)``; allocates the frame on first touch."""
+        """Returns ``(pte_word, walk_latency)``; allocates the frame on
+        first touch."""
         self.walks += 1
-        pte = self.page_table.get_or_create(vpn)
-        return pte, self.cfg.walk_latency
+        return self.page_table.touch(vpn), self.cfg.walk_latency

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy, LINES_PER_PAGE, line_key
-from repro.common.types import AccessType, MemAccess
+from repro.common.types import MemAccess
 
 
 def make(sim, tiny_cfg, misses=None, writebacks=None):
@@ -20,15 +20,11 @@ def make(sim, tiny_cfg, misses=None, writebacks=None):
 
 
 def load(core, addr, t=0):
-    a = MemAccess(addr=addr, access_type=AccessType.LOAD, core_id=core, issue_time=t)
-    a.paddr = addr
-    return a
+    return MemAccess(addr=addr, is_write=False, core_id=core, paddr=addr)
 
 
 def store(core, addr, t=0):
-    a = MemAccess(addr=addr, access_type=AccessType.STORE, core_id=core, issue_time=t)
-    a.paddr = addr
-    return a
+    return MemAccess(addr=addr, is_write=True, core_id=core, paddr=addr)
 
 
 def test_first_access_misses_to_dram(sim, tiny_cfg):

@@ -1,7 +1,7 @@
 """Dirty-victim spill paths through the inclusive hierarchy."""
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.common.types import AccessType, MemAccess
+from repro.common.types import MemAccess
 from repro.config.system import CacheConfig, scaled_system
 import dataclasses
 
@@ -23,9 +23,7 @@ def tiny_hier(sim):
 
 
 def store(addr):
-    a = MemAccess(addr=addr, access_type=AccessType.STORE, core_id=0, issue_time=0)
-    a.paddr = addr
-    return a
+    return MemAccess(addr=addr, is_write=True, core_id=0, paddr=addr)
 
 
 def test_dirty_data_survives_l1_eviction(sim):

@@ -59,6 +59,34 @@ def test_memo_hits_reported_as_cached():
     assert all(r.source == "memo" for r in again.records)
 
 
+def test_memo_counts_do_not_depend_on_jobs():
+    """prescan looks every config up once and tasks always simulate, so
+    an inline campaign and a pool campaign count the same memo misses."""
+    grid = GridSpec(schemes=("baseline", "nomad"), workloads=("sop",),
+                    base=BASE, axes={"seed": (1, 2)})  # 4 runs
+    inline = run_campaign(grid, jobs=1).summary.memo
+    clear_cache()
+    pooled = run_campaign(grid, jobs=2).summary.memo
+    assert (inline["hits"], inline["misses"]) == (0, 4)
+    assert (pooled["hits"], pooled["misses"]) == (0, 4)
+
+
+def test_config_listed_twice_in_one_task_simulates_once(monkeypatch):
+    simulated = []
+    real = runner.simulate
+
+    def counting(cfg, **kwargs):
+        simulated.append(cfg)
+        return real(cfg, **kwargs)
+
+    monkeypatch.setattr(runner, "simulate", counting)
+    cfg = BASE.with_(scheme="nomad")
+    campaign = run_campaign([cfg, cfg], jobs=1)  # one snapshot key: one task
+    assert [r.status for r in campaign.records] == ["completed", "completed"]
+    assert campaign.records[0].result == campaign.records[1].result
+    assert simulated == [cfg]
+
+
 def test_failed_run_does_not_abort_grid():
     configs = [BASE, BASE.with_(workload="nosuch"), BASE.with_(seed=2)]
     campaign = run_campaign(configs, jobs=1)

@@ -1,7 +1,6 @@
-"""Address arithmetic and access types."""
+"""Address arithmetic and the memory access record."""
 
 from repro.common.types import (
-    AccessType,
     DC_SPACE_BIT,
     MemAccess,
     PAGE_SIZE,
@@ -50,13 +49,13 @@ def test_dc_space_bit_clear_of_page_addresses():
 
 
 def test_mem_access_properties():
-    a = MemAccess(addr=2 * PAGE_SIZE + 130, access_type=AccessType.STORE,
-                  core_id=1, issue_time=10)
+    a = MemAccess(addr=2 * PAGE_SIZE + 130, is_write=True, core_id=1)
     assert a.is_write
     assert a.vpn == 2
     assert a.sub_block == 2
 
 
 def test_mem_access_load_is_not_write():
-    a = MemAccess(addr=0, access_type=AccessType.LOAD, core_id=0, issue_time=0)
+    a = MemAccess(addr=0, is_write=False, core_id=0)
     assert not a.is_write
+    assert a.paddr is None  # untranslated until the core routes it

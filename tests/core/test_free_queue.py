@@ -11,7 +11,7 @@ def test_allocates_sequentially():
     got = []
     for _ in range(3):
         cfn = fq.allocate(cpds)
-        cpds[cfn].valid = True
+        cpds.valid[cfn] = 1
         got.append(cfn)
     assert got == [0, 1, 2]
     assert fq.num_free == 5
@@ -20,7 +20,7 @@ def test_allocates_sequentially():
 
 def test_skips_valid_frames_at_head():
     fq, cpds = FreeQueue(8), CPDArray(8)
-    cpds[0].valid = True  # TLB-shootdown-avoidance leftover
+    cpds.valid[0] = 1  # TLB-shootdown-avoidance leftover
     fq.num_free -= 1
     cfn = fq.allocate(cpds)
     assert cfn == 1
@@ -30,7 +30,7 @@ def test_skips_valid_frames_at_head():
 def test_allocate_exhausted_raises():
     fq, cpds = FreeQueue(2), CPDArray(2)
     for _ in range(2):
-        cpds[fq.allocate(cpds)].valid = True
+        cpds.valid[fq.allocate(cpds)] = 1
     with pytest.raises(RuntimeError):
         fq.allocate(cpds)
 
@@ -38,10 +38,10 @@ def test_allocate_exhausted_raises():
 def test_wraps_around():
     fq, cpds = FreeQueue(4), CPDArray(4)
     for _ in range(4):
-        cpds[fq.allocate(cpds)].valid = True
+        cpds.valid[fq.allocate(cpds)] = 1
     # Free the tail frame, allocate again: head wraps to it.
     victim = fq.advance_tail()
-    cpds[victim].valid = False
+    cpds.valid[victim] = 0
     fq.mark_freed()
     assert fq.allocate(cpds) == victim
 

@@ -9,8 +9,9 @@ from repro.config.system import scaled_system
 from repro.core.frontend import DataManager, FrontEnd
 from repro.dram.device import DRAMDevice
 from repro.vm.descriptors import DescriptorTables
-from repro.vm.page_table import PageTable, touch_pages
+from repro.vm.page_table import PTE_C, PageTable, frame_of, touch_pages
 from repro.vm.tlb import TLB
+from tests.vm.pages import share
 
 
 class RecordingManager(DataManager):
@@ -54,30 +55,37 @@ class World:
             eviction_threshold=threshold, eviction_batch=batch, eviction_cost=10,
         )
         self.tlbs = [TLB(i, cfg.tlb,
-                         on_install=lambda vpn, pte, i=i: self.fe.tlb_changed(i, pte, True),
-                         on_evict=lambda vpn, pte, i=i: self.fe.tlb_changed(i, pte, False))
+                         on_install=lambda vpn, i=i: self.fe.tlb_changed(i, vpn, True),
+                         on_evict=lambda vpn, i=i: self.fe.tlb_changed(i, vpn, False))
                      for i in range(2)]
         self.fe.attach_tlbs(self.tlbs)
 
     def fault(self, sim, core, vpn, done):
-        pte = self.page_tables[core].get_or_create(vpn)
-        self.fe.handle_tag_miss(core, vpn, pte, vpn * 4096, done)
-        return pte
+        self.page_tables[core].touch(vpn)
+        self.fe.handle_tag_miss(core, vpn, vpn * 4096, done)
+
+    def cached(self, core, vpn) -> bool:
+        return bool(self.page_tables[core].word(vpn) & PTE_C)
+
+    def frame(self, core, vpn) -> int:
+        """The PTE's frame field: the CFN while cached, else the PFN."""
+        return frame_of(self.page_tables[core].word(vpn))
 
 
 def test_tag_miss_updates_pte_and_cpd(sim):
     w = World(sim)
     done = []
-    pte = w.fault(sim, 0, 5, done.append)
+    w.fault(sim, 0, 5, done.append)
     sim.run()
     assert done and done[0] >= 400
-    assert pte.cached
-    cfn = pte.page_frame_num
-    cpd = w.fe.cpds[cfn]
-    assert cpd.valid
-    assert w.tables.reverse_map(cpd.pfn) == [(0, 5)]
-    assert w.tables.cached[cpd.pfn]
-    assert w.manager.fills == [(cfn, cpd.pfn, 0)]
+    assert w.cached(0, 5)
+    cfn = w.frame(0, 5)
+    cpds = w.fe.cpds
+    assert cpds.valid[cfn]
+    pfn = cpds.pfn[cfn]
+    assert w.tables.reverse_map(pfn) == [(0, 5)]
+    assert w.tables.cached[pfn]
+    assert w.manager.fills == [(cfn, pfn, 0)]
 
 
 def test_tag_latency_includes_base_cost(sim):
@@ -108,11 +116,10 @@ def test_no_mutex_handlers_overlap(sim):
 
 def test_fifo_frame_allocation(sim):
     w = World(sim)
-    ptes = []
     for vpn in range(3):
-        ptes.append(w.fault(sim, 0, vpn, lambda t: None))
+        w.fault(sim, 0, vpn, lambda t: None)
     sim.run()
-    assert [p.page_frame_num for p in ptes] == [0, 1, 2]
+    assert [w.frame(0, vpn) for vpn in range(3)] == [0, 1, 2]
 
 
 def test_daemon_triggers_below_threshold(sim):
@@ -125,43 +132,44 @@ def test_daemon_triggers_below_threshold(sim):
 
 def test_eviction_restores_pte(sim):
     w = World(sim, num_frames=8, threshold=6, batch=4)
-    ptes = [w.fault(sim, 0, vpn, lambda t: None) for vpn in range(4)]
+    for vpn in range(4):
+        w.fault(sim, 0, vpn, lambda t: None)
     sim.run()
-    evicted = [p for p in ptes if not p.cached]
+    evicted = [vpn for vpn in range(4) if not w.cached(0, vpn)]
     assert evicted, "daemon should have evicted something"
-    for p in evicted:
-        assert not w.tables.cached[p.page_frame_num]
+    for vpn in evicted:
+        assert not w.tables.cached[w.frame(0, vpn)]
 
 
 def test_eviction_skips_tlb_resident(sim):
     w = World(sim, num_frames=8, threshold=6, batch=4)
-    pte0 = w.fault(sim, 0, 0, lambda t: None)
+    w.fault(sim, 0, 0, lambda t: None)
     sim.run()
-    w.tlbs[0].install(0, pte0)  # now TLB-resident
+    w.tlbs[0].install(0)  # now TLB-resident
     for vpn in range(1, 4):
         w.fault(sim, 0, vpn, lambda t: None)
         sim.run()
-    assert pte0.cached, "TLB-resident frame must not be evicted"
+    assert w.cached(0, 0), "TLB-resident frame must not be evicted"
     assert w.fe.stats.get("eviction_tlb_skips").value > 0
 
 
 def test_eviction_skips_busy_fills(sim):
     w = World(sim, num_frames=8, threshold=6, batch=4)
-    pte0 = w.fault(sim, 0, 0, lambda t: None)
+    w.fault(sim, 0, 0, lambda t: None)
     sim.run()
-    w.manager.busy.add(pte0.page_frame_num)  # fill still in flight
+    w.manager.busy.add(w.frame(0, 0))  # fill still in flight
     for vpn in range(1, 4):
         w.fault(sim, 0, vpn, lambda t: None)
         sim.run()
-    assert pte0.cached
+    assert w.cached(0, 0)
     assert w.fe.stats.get("eviction_busy_skips").value > 0
 
 
 def test_dirty_frame_writes_back(sim):
     w = World(sim, num_frames=8, threshold=6, batch=4)
-    pte = w.fault(sim, 0, 0, lambda t: None)
+    w.fault(sim, 0, 0, lambda t: None)
     sim.run()
-    w.fe.cpds[pte.page_frame_num].dirty_in_cache = True
+    w.fe.cpds.dirty_in_cache[w.frame(0, 0)] = 1
     for vpn in range(1, 4):
         w.fault(sim, 0, vpn, lambda t: None)
         sim.run()
@@ -171,12 +179,10 @@ def test_dirty_frame_writes_back(sim):
 def test_handler_waits_for_free_frame(sim):
     """All frames allocated and TLB-resident: forced shootdown path."""
     w = World(sim, num_frames=4, threshold=0, batch=2)
-    ptes = []
     for vpn in range(4):
-        pte = w.fault(sim, 0, vpn, lambda t: None)
-        ptes.append(pte)
+        w.fault(sim, 0, vpn, lambda t: None)
         sim.run()
-        w.tlbs[0].install(vpn, pte)
+        w.tlbs[0].install(vpn)
     done = []
     w.fault(sim, 0, 99, done.append)
     sim.run()
@@ -186,37 +192,35 @@ def test_handler_waits_for_free_frame(sim):
 
 def test_shared_page_updates_all_mappings(sim):
     w = World(sim)
-    pte0 = w.page_tables[0].get_or_create(7)
-    pfn = pte0.page_frame_num
-    w.tables.share(pfn, 1, 8)
-    pte1 = w.page_tables[1]._entries[8] = type(pte0)(page_frame_num=pfn)
-    w.fe.handle_tag_miss(0, 7, pte0, 0, lambda t: None)
+    pfn = frame_of(w.page_tables[0].touch(7))
+    share(w.page_tables[1], 8, pfn)
+    assert w.tables.reverse_map(pfn) == [(0, 7), (1, 8)]
+    w.fe.handle_tag_miss(0, 7, 0, lambda t: None)
     sim.run()
-    assert pte0.cached and pte1.cached
-    assert pte0.page_frame_num == pte1.page_frame_num
+    assert w.cached(0, 7) and w.cached(1, 8)
+    assert w.frame(0, 7) == w.frame(1, 8)
 
 
 def warm(w, pages):
-    ptes = touch_pages(w.page_tables, pages)
-    w.fe.warm_fills(pages, ptes)
-    return ptes
+    touch_pages(w.page_tables, pages)
+    w.fe.warm_fills(pages)
 
 
 def test_warm_fill_zero_cost(sim):
     w = World(sim)
-    (pte,) = warm(w, [(0, 3, True)])
-    assert pte.cached
-    assert w.fe.cpds[pte.page_frame_num].dirty_in_cache
+    warm(w, [(0, 3, True)])
+    assert w.cached(0, 3)
+    assert w.fe.cpds.dirty_in_cache[w.frame(0, 3)]
     assert sim.now == 0
     assert w.fe.stats.get("fills").value == 0  # not a timed fill
 
 
 def test_warm_fill_evicts_when_needed(sim):
     w = World(sim, num_frames=4, threshold=2, batch=2)
-    ptes = warm(w, [(0, v, False) for v in range(4)])
+    warm(w, [(0, v, False) for v in range(4)])
     # The third page finds the free count at the threshold: the tail's
     # two frames are evicted and the page takes the next frame.
-    assert [p.cached for p in ptes] == [False, False, True, True]
-    assert [p.page_frame_num for p in ptes] == [0, 1, 2, 3]
+    assert [w.cached(0, v) for v in range(4)] == [False, False, True, True]
+    assert [w.frame(0, v) for v in range(4)] == [0, 1, 2, 3]
     fq = w.fe.free_queue
     assert (fq.num_free, fq.head, fq.tail) == (2, 0, 2)

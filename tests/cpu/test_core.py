@@ -21,14 +21,16 @@ class FakeScheme:
         self.tlb = set()
         self.issued = []
         self.walked = []
-        # The core binds tlbs[core_id].lookup and hierarchy.access; this
-        # one-core double plays both through lookup() and access() below.
+        # The core binds tlbs[core_id].lookup, page_tables[core_id].translate
+        # and hierarchy.access; this one-core double plays all three
+        # through lookup(), translate() and access() below.
         self.tlbs = [self]
+        self.page_tables = [self]
         self.hierarchy = self
 
     def lookup(self, vpn):
         if vpn in self.tlb:
-            return ("pte", 0)
+            return 0
         return None
 
     def peek_translate(self, core_id, vpn):
@@ -36,14 +38,14 @@ class FakeScheme:
         needs_os = self.os_stall > 0 and vpn not in self.tlb
         if not needs_os:
             self.tlb.add(vpn)
-        return "pte", self.walk_latency, needs_os
+        return self.walk_latency, needs_os
 
     def translate_miss(self, core_id, vpn, now, done, addr=0):
         self.tlb.add(vpn)
         ready = now + self.walk_latency + self.os_stall
-        self.sim.schedule_at(ready, lambda: done(ready, "pte"))
+        self.sim.schedule_at(ready, lambda: done(ready))
 
-    def translate_addr(self, pte, addr):
+    def translate(self, vpn, addr):
         return addr
 
     def access(self, access, now, on_complete):
@@ -109,7 +111,7 @@ def test_dependent_load_serializes():
     sim.run()
     # Two serialized 200-cycle misses (plus walks).
     assert core.finish_time >= 400
-    assert core.dep_stall_cycles > 0
+    assert core.stalls.dep > 0
 
 
 def test_rob_window_limits_runahead():
@@ -121,7 +123,7 @@ def test_rob_window_limits_runahead():
     core = Core(sim, 0, cfg, s, iter(trace))
     core.start()
     sim.run()
-    assert core.window_stall_cycles > 0
+    assert core.stalls.window > 0
 
 
 def test_os_stall_accounted():
@@ -132,8 +134,8 @@ def test_os_stall_accounted():
     core.start()
     sim.run()
     assert core.os_stall_cycles == 500
-    assert core.tag_miss_count == 1
-    assert core.tlb_stall_cycles == 100
+    assert core.stalls.tag_misses == 1
+    assert core.stalls.tlb == 100
 
 
 def test_store_buffer_backpressure():
@@ -145,7 +147,7 @@ def test_store_buffer_backpressure():
     core = Core(sim, 0, cfg, s, iter(trace))
     core.start()
     sim.run()
-    assert core.store_stall_cycles > 0
+    assert core.stalls.store > 0
     assert core.outstanding_stores == 0  # all drained by completion events
 
 
@@ -158,7 +160,7 @@ def test_stores_do_not_block_window():
     core.start()
     sim.run()
     # The slow store does not hold the ROB window; only drain matters.
-    assert core.window_stall_cycles == 0
+    assert core.stalls.window == 0
 
 
 def test_stall_breakdown_fractions():

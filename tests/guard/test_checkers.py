@@ -92,15 +92,15 @@ def test_frame_checker_counts_frames_mid_fill():
 
 
 def _valid_cfns(frontend):
-    cpds = frontend.cpds
-    return [cfn for cfn in range(len(cpds)) if cpds[cfn].valid]
+    valid = frontend.cpds.valid
+    return [cfn for cfn in range(len(valid)) if valid[cfn]]
 
 
 def test_frame_checker_catches_pfn_in_two_frames():
     frontend = _machine().scheme.frontend
     a, b = _valid_cfns(frontend)[:2]
-    pfn = frontend.cpds[a].pfn
-    frontend.cpds[b].pfn = pfn
+    pfn = frontend.cpds.pfn[a]
+    frontend.cpds.pfn[b] = pfn
     assert check_frames(frontend) == [
         f"pfn {pfn} cached in two frames (cfn {a} and {b})"
     ]
@@ -109,15 +109,15 @@ def test_frame_checker_catches_pfn_in_two_frames():
 def test_frame_checker_catches_unknown_pfn():
     frontend = _machine().scheme.frontend
     cfn = _valid_cfns(frontend)[0]
-    pfn = frontend.tables.frames_allocated
-    frontend.cpds[cfn].pfn = pfn
+    pfn = len(frontend.tables.cached)
+    frontend.cpds.pfn[cfn] = pfn
     assert check_frames(frontend) == [f"cfn {cfn} caches unknown pfn {pfn}"]
 
 
 def test_frame_checker_catches_clear_c_bit():
     frontend = _machine().scheme.frontend
     cfn = _valid_cfns(frontend)[-1]
-    pfn = frontend.cpds[cfn].pfn
+    pfn = frontend.cpds.pfn[cfn]
     frontend.tables.cached[pfn] = 0
     assert check_frames(frontend) == [
         f"cfn {cfn} caches pfn {pfn} but its C bit is clear"

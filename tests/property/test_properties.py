@@ -99,17 +99,17 @@ def test_free_queue_accounting_invariant(ops):
     for op in ops:
         if op == "alloc" and fq.num_free > 0:
             cfn = fq.allocate(cpds)
-            assert not cpds[cfn].valid
-            cpds[cfn].valid = True
+            assert not cpds.valid[cfn]
+            cpds.valid[cfn] = 1
             allocated.append(cfn)
         elif op == "free" and allocated:
             # FIFO reclamation from the tail side.
             cfn = allocated.pop(0)
-            cpds[cfn].valid = False
+            cpds.valid[cfn] = 0
             fq.mark_freed()
         assert 0 <= fq.num_free <= 16
         assert fq.allocated == len(allocated)
-        assert sum(1 for i in range(16) if cpds[i].valid) == len(allocated)
+        assert sum(1 for i in range(16) if cpds.valid[i]) == len(allocated)
 
 
 # -- Address map ------------------------------------------------------------------

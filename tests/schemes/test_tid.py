@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.common.types import AccessType, MemAccess, TrafficClass
+from repro.common.types import MemAccess, TrafficClass
 from repro.config.schemes import TiDConfig
 from repro.engine.simulator import Simulator
 from repro.schemes.tid import TiDScheme, TiDTagArray
+from repro.vm.page_table import frame_of
 
 
 def make(tiny_cfg, tid_cfg=None):
@@ -14,11 +15,7 @@ def make(tiny_cfg, tid_cfg=None):
 
 
 def load(addr, w=False):
-    a = MemAccess(addr=addr,
-                  access_type=AccessType.STORE if w else AccessType.LOAD,
-                  core_id=0, issue_time=0)
-    a.paddr = addr
-    return a
+    return MemAccess(addr=addr, is_write=w, core_id=0, paddr=addr)
 
 
 # -- tag array ---------------------------------------------------------
@@ -143,8 +140,7 @@ def test_warm_page_preinstalls_lines(tiny_cfg):
     sim, s = make(tiny_cfg)
     s.warm_pages([(0, 2, False), (1, 2, True)])
     for core, dirty in ((0, 0), (1, 1)):
-        pte = s.page_tables[core].lookup(2)
-        base_line = (pte.page_frame_num * 4096) >> 10
+        base_line = (frame_of(s.page_tables[core].word(2)) * 4096) >> 10
         for i in range(4):
             assert s.tags.lookup(base_line + i, touch=False) & 1 == dirty
 

@@ -20,11 +20,9 @@ def test_conflict_misses_despite_spare_capacity(tiny_cfg):
     # conflicts forever.
     for round_ in range(3):
         for i in range(ways + 1):
-            a = type("A", (), {})
-            from repro.common.types import AccessType, MemAccess
-            acc = MemAccess(addr=(i * sets) * 1024, access_type=AccessType.LOAD,
-                            core_id=0, issue_time=sim.now)
-            acc.paddr = acc.addr
+            from repro.common.types import MemAccess
+            addr = (i * sets) * 1024
+            acc = MemAccess(addr=addr, is_write=False, core_id=0, paddr=addr)
             s.dc_access(acc, lambda t: None)
             sim.run()
     assert s.stats.get("line_fills").value > ways + 1  # refetched lines

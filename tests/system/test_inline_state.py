@@ -9,8 +9,9 @@ once it is materialized.  The walk below only ever calls
 
 A machine forked by ``Machine.restore`` must come back with every
 component's attributes inline (``repro.common.inline_state``), and so
-must a fresh build; only objects with more attributes than CPython can
-keep inline are exempt.
+must a fresh build.  No class is exempt: one with more attributes than
+CPython keeps inline (29 on 3.11) has a materialized dict from birth,
+so the hot classes keep their attribute counts under that limit.
 """
 
 import collections
@@ -85,16 +86,6 @@ def _dict_materialized(obj) -> bool:
             and all(type(k) is str for k in refs[0]))
 
 
-def _inline_capacity() -> int:
-    """The most attributes this CPython keeps inline."""
-    probe = type("Probe", (), {})()
-    for n in range(1, 256):
-        setattr(probe, f"a{n}", n)
-        if _dict_materialized(probe):
-            return n - 1
-    return 256
-
-
 def _walk(root):
     """``{class name: [objects]}`` for every dict-backed repro object
     reachable from *root* through containers and bound methods."""
@@ -133,14 +124,11 @@ def _build(name):
 
 
 def _slow(found):
-    """Class names of the objects in *found* with a materialized dict
-    that CPython could have kept inline."""
-    capacity = _inline_capacity()
+    """Class names of the objects in *found* with a materialized dict."""
     return sorted(
         name for name, objs in found.items()
         for obj in objs
         if _dict_materialized(obj)
-        and len(gc.get_referents(obj)[0]) <= capacity
     )
 
 

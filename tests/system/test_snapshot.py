@@ -7,7 +7,9 @@ a freshly built one, across schemes, workloads, seeds, and trace
 lengths.
 """
 
+import gc
 import pickle
+import sys
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.config.system import scaled_system
 from repro.harness import runner
 from repro.harness.runner import RunConfig
 from repro.snapshot import (
+    SNAPSHOT_VERSION,
     SnapshotCache,
     SnapshotError,
     snapshot_eligible,
@@ -105,6 +108,43 @@ def test_restore_refuses_other_version():
     payload["version"] = 999
     with pytest.raises(SnapshotError, match="version"):
         Machine.restore(pickle.dumps(payload))
+
+
+def test_restore_refuses_blobs_from_before_the_flat_vm_layout():
+    """Version 4 pickles page tables and CPDs as flat columns; a blob
+    stamped 3 holds per-page objects and must be rebuilt, not forked."""
+    assert SNAPSHOT_VERSION == 4
+    payload = pickle.loads(_build("nomad").snapshot())
+    payload["version"] = 3
+    with pytest.raises(SnapshotError, match="version 3"):
+        Machine.restore(pickle.dumps(payload))
+
+
+def _restore_footprint(scheme, dc_mb):
+    """Allocator blocks and GC-tracked objects one fork adds."""
+    cfg = scaled_system(num_cores=CORES, dc_megabytes=dc_mb)
+    # The build materializes the traces the fork re-attaches, so the
+    # fork finds them in the trace cache and allocates only the machine.
+    blob = build_machine(scheme, workload_name="cact", cfg=cfg,
+                         num_mem_ops=OPS).snapshot()
+    gc.collect()
+    blocks, objects = sys.getallocatedblocks(), len(gc.get_objects())
+    fork = Machine.restore(blob)
+    grown = (sys.getallocatedblocks() - blocks,
+             len(gc.get_objects()) - objects)
+    del fork
+    return grown
+
+
+@pytest.mark.parametrize("scheme", ["tdc", "nomad"])
+def test_fork_footprint_does_not_grow_with_dc_size(scheme):
+    """Page tables, reverse map and CPDs unpickle as one buffer per
+    column, so a fork of a 3x larger DRAM cache allocates no more
+    objects (the per-frame object layout grew ~2.7x)."""
+    small_blocks, small_objects = _restore_footprint(scheme, 16)
+    large_blocks, large_objects = _restore_footprint(scheme, 48)
+    assert large_blocks <= 1.1 * small_blocks
+    assert large_objects <= 1.1 * small_objects
 
 
 def test_restore_refuses_garbage():

@@ -1,15 +1,17 @@
 """The one-pass warmup against the page-at-a-time reference.
 
 ``Machine.prewarm_pages`` must leave exactly the state that warming one
-page at a time (``tests/system/warm_oracle.py``) leaves: every PTE in
-insertion order, the C bits, the reverse map, every CPD, the free
-queue's pointers and counters, and the TiD sets in LRU order.
+page at a time (``tests/system/warm_oracle.py``) leaves: every PTE
+word, the C bits, the reverse map (which records touch order), every
+CPD column, the free queue's pointers and counters, and the TiD sets in
+LRU order.
 """
 
 import pytest
 
 from repro.config.system import scaled_system
 from repro.system.builder import build_machine
+from repro.vm.page_table import PTE_C
 from repro.workloads.presets import warm_plan, workload
 
 from tests.system import warm_oracle
@@ -52,7 +54,7 @@ def test_prewarm_matches_page_at_a_time_reference(scheme, kind):
     warm_oracle.prewarm(reference, plan)
     state = warm_oracle.warm_state(bulk)
     assert state == warm_oracle.warm_state(reference)
-    assert any(pte.cached for pt in state["ptes"] for _, pte in pt) == (
+    assert any(word & PTE_C for _, pt in state["ptes"] for _, word in pt) == (
         scheme != "tid"
     )
 

@@ -1,8 +1,8 @@
 """Reference model of the warmup fast-forward, for tests only.
 
 ``Machine.prewarm_pages`` warms a whole build in one pass: the cores'
-plans are interleaved once, the PTEs are made in bulk, and each scheme
-fills its DRAM cache state from the ordered list.  This module keeps
+plans are interleaved once, every page is touched in that order, and
+each scheme fills its DRAM cache state from the ordered list.  This module keeps
 the page-at-a-time semantics that pass must match, written out plainly:
 touch one page, then either take a free cache frame for it (evicting
 from the FIFO tail once the free count reaches the eviction threshold)
@@ -11,6 +11,8 @@ warming writes, so tests can compare the two paths state by state.
 """
 
 from __future__ import annotations
+
+from repro.vm.page_table import PTE_C, PTE_NC, frame_of
 
 
 def prewarm(machine, core_pages) -> None:
@@ -30,68 +32,63 @@ def prewarm(machine, core_pages) -> None:
 
 
 def warm_page(scheme, core_id: int, vpn: int, dirty: bool) -> None:
-    pte = scheme.page_tables[core_id].get_or_create(vpn)
+    word = scheme.page_tables[core_id].touch(vpn)
     frontend = getattr(scheme, "frontend", None)
     if frontend is not None:
-        if pte.present and not pte.non_cacheable and not pte.cached:
-            _fill_frame(frontend, pte, dirty)
+        if not word & (PTE_C | PTE_NC):
+            _fill_frame(frontend, frame_of(word), dirty)
     elif hasattr(scheme, "tags"):
-        _install_lines(scheme, pte, dirty)
+        _install_lines(scheme, frame_of(word), dirty)
 
 
-def _fill_frame(fe, pte, dirty: bool) -> None:
+def _fill_frame(fe, pfn: int, dirty: bool) -> None:
     fq = fe.free_queue
     if fq.num_free <= fe.eviction_threshold:
         _evict(fe, fe.eviction_batch)
     if fq.num_free <= 0:
         return
-    while fe.cpds[fq.head].valid:
+    cpds = fe.cpds
+    while cpds.valid[fq.head]:
         fq.head = (fq.head + 1) % fq.num_frames
         fq.head_skips += 1
     cfn = fq.head
     fq.head = (cfn + 1) % fq.num_frames
     fq.num_free -= 1
-    pfn = pte.page_frame_num
-    cpd = fe.cpds[cfn]
-    cpd.valid = True
-    cpd.pfn = pfn
-    cpd.dirty_in_cache = dirty
-    cpd.tlb_directory = 0
+    cpds.valid[cfn] = 1
+    cpds.pfn[cfn] = pfn
+    cpds.dirty_in_cache[cfn] = int(dirty)
+    cpds.tlb_directory[cfn] = 0
     fe.tables.cached[pfn] = 1
     for core_id, vpn in fe.tables.reverse_map(pfn):
-        mapped = fe.page_tables[core_id].lookup(vpn)
-        mapped.page_frame_num = cfn
-        mapped.cached = True
+        fe.page_tables[core_id].cache(vpn, cfn)
 
 
 def _evict(fe, n: int) -> None:
     """Free up to ``n`` frames from the tail, skipping TLB-resident ones."""
     fq = fe.free_queue
+    cpds = fe.cpds
     evicted = scanned = 0
     while evicted < n and fq.num_free < fq.num_frames and scanned < fq.num_frames:
-        cpd = fe.cpds[fq.tail]
+        cfn = fq.tail
         fq.tail = (fq.tail + 1) % fq.num_frames
         scanned += 1
-        if not cpd.valid or cpd.tlb_directory:
+        if not cpds.valid[cfn] or cpds.tlb_directory[cfn]:
             continue
-        fe.tables.cached[cpd.pfn] = 0
-        for core_id, vpn in fe.tables.reverse_map(cpd.pfn):
-            mapped = fe.page_tables[core_id].lookup(vpn)
-            if mapped.cached and mapped.page_frame_num == cpd.cfn:
-                mapped.page_frame_num = cpd.pfn
-                mapped.cached = False
-                mapped.dirty_in_cache = False
-        cpd.valid = False
-        cpd.dirty_in_cache = False
+        pfn = cpds.pfn[cfn]
+        fe.tables.cached[pfn] = 0
+        for core_id, vpn in fe.tables.reverse_map(pfn):
+            fe.page_tables[core_id].uncache(vpn, cfn, pfn)
+        cpds.valid[cfn] = 0
+        cpds.dirty_in_cache[cfn] = 0
         fq.num_free += 1
         evicted += 1
 
 
-def _install_lines(scheme, pte, dirty: bool) -> None:
+def _install_lines(scheme, pfn: int, dirty: bool) -> None:
     """Every 1 KB line of the page, through the tag array's own calls."""
     tags = scheme.tags
     line_size = scheme.tid_cfg.line_size
-    base = pte.page_frame_num * 4096 // line_size
+    base = pfn * 4096 // line_size
     for line_id in range(base, base + 4096 // line_size):
         if tags.lookup(line_id, touch=False) is None:
             tags.allocate(line_id)
@@ -103,9 +100,10 @@ def warm_state(machine) -> dict:
     """Everything warming writes, in comparable form."""
     scheme = machine.scheme
     tables = scheme.tables
-    pfns = range(tables.frames_allocated)
+    pfns = range(len(tables.cached))
     state = {
-        "ptes": [list(pt.entries()) for pt in scheme.page_tables],
+        "ptes": [(pt.pages_touched, list(pt.entries()))
+                 for pt in scheme.page_tables],
         "c_bits": list(tables.cached),
         "rmap": [tables.reverse_map(pfn) for pfn in pfns],
     }
@@ -114,8 +112,8 @@ def warm_state(machine) -> dict:
         cpds = frontend.cpds
         fq = frontend.free_queue
         state["cpds"] = [
-            (c.cfn, c.valid, c.dirty_in_cache, c.pfn, c.tlb_directory)
-            for c in (cpds[cfn] for cfn in range(len(cpds)))
+            bytes(cpds.valid), bytes(cpds.dirty_in_cache),
+            list(cpds.pfn), list(cpds.tlb_directory),
         ]
         state["free_queue"] = (fq.head, fq.tail, fq.num_free, fq.head_skips)
     if hasattr(scheme, "tags"):

@@ -72,6 +72,14 @@ def test_compare_rejects_unknown_workload(capsys):
     assert "nope" in capsys.readouterr().err
 
 
+def test_run_rejects_more_cores_than_the_tlb_directory_holds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scheme", "nomad", "--workload", "sop",
+              "--cores", "65"])
+    assert exc.value.code == 2
+    assert "at most 64 cores" in capsys.readouterr().err
+
+
 def test_run_guarded(capsys):
     rc = main(["run", "--scheme", "nomad", "--workload", "sop",
                "--ops", "200", "--cores", "2", "--dc-mb", "8", "--guard"])

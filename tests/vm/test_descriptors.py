@@ -1,8 +1,8 @@
-"""C bits, CPDs, TLB directory, reverse mappings."""
+"""C bits, CPD columns, TLB directory, reverse mappings."""
 
 import pytest
 
-from repro.vm.descriptors import CPD, CPDArray, DescriptorTables
+from repro.vm.descriptors import CPDArray, DescriptorTables
 
 
 def test_allocate_creates_clear_c_bit_and_rmap():
@@ -10,7 +10,7 @@ def test_allocate_creates_clear_c_bit_and_rmap():
     pfn = t.allocate(0, 42)
     assert t.cached[pfn] == 0
     assert t.reverse_map(pfn) == [(0, 42)]
-    assert t.frames_allocated == 1
+    assert len(t.cached) == 1
     assert t.allocate(1, 42) == pfn + 1
 
 
@@ -28,30 +28,37 @@ def test_share_unknown_pfn_raises():
 
 
 def test_cpd_tlb_directory_bits():
-    cpd = CPD(cfn=0)
-    assert not cpd.in_any_tlb
-    cpd.set_tlb_bit(2)
-    cpd.set_tlb_bit(5)
-    assert cpd.in_any_tlb
-    assert cpd.tlb_directory == (1 << 2) | (1 << 5)
-    cpd.clear_tlb_bit(2)
-    assert cpd.tlb_directory == 1 << 5
-    cpd.clear_tlb_bit(5)
-    assert not cpd.in_any_tlb
+    directory = CPDArray(1).tlb_directory
+    assert not directory[0]
+    directory[0] |= 1 << 2
+    directory[0] |= 1 << 5
+    assert directory[0]
+    assert directory[0] == (1 << 2) | (1 << 5)
+    directory[0] &= ~(1 << 2)
+    assert directory[0] == 1 << 5
+    directory[0] &= ~(1 << 5)
+    assert not directory[0]
 
 
 def test_cpd_clear_unset_bit_is_noop():
-    cpd = CPD(cfn=0)
-    cpd.clear_tlb_bit(3)
-    assert cpd.tlb_directory == 0
+    directory = CPDArray(1).tlb_directory
+    directory[0] &= ~(1 << 3)
+    assert directory[0] == 0
+
+
+def test_cpd_directory_holds_64_cores():
+    directory = CPDArray(1).tlb_directory
+    directory[0] |= 1 << 63
+    assert directory[0] == 1 << 63
 
 
 def test_cpd_array_indexing():
     arr = CPDArray(16)
     assert len(arr) == 16
-    assert arr[3].cfn == 3
-    arr[3].valid = True
-    assert arr.valid_count() == 1
+    assert (arr.valid[3], arr.dirty_in_cache[3], arr.pfn[3],
+            arr.tlb_directory[3]) == (0, 0, 0, 0)
+    arr.valid[3] = 1
+    assert arr.valid.count(1) == 1
 
 
 def test_cpd_array_rejects_empty():
