@@ -36,7 +36,6 @@ bypass the memo cache and the result store in both directions.
 from __future__ import annotations
 
 import json
-import os
 import time
 import traceback as _traceback
 from dataclasses import dataclass, field
@@ -101,12 +100,13 @@ class CampaignSummary:
     failed: int = 0
     quarantined: int = 0
     elapsed_s: float = 0.0
-    memo: Dict[str, int] = field(default_factory=dict)
     store: Dict[str, object] = field(default_factory=dict)
-    # Machine-snapshot and trace-cache counters: the in-process view
-    # plus, for pool campaigns, the summed per-task worker deltas.
+    # Per cache layer, the counters (hits, misses, ...) count this
+    # campaign's own work, wherever it ran; the gauges (size, maxsize,
+    # bytes) are this process's values when the campaign ended.
+    memo: Dict[str, int] = field(default_factory=dict)
     snapshot: Dict[str, int] = field(default_factory=dict)
-    trace: Dict[str, object] = field(default_factory=dict)
+    trace: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -120,6 +120,14 @@ class CampaignSummary:
             "store": dict(self.store),
             "snapshot": dict(self.snapshot),
             "trace": dict(self.trace),
+        }
+
+    def cache_counts(self) -> Dict[str, Dict[str, int]]:
+        """The shared layers' counters, in the form tasks report them."""
+        return {
+            section: {k: getattr(self, section).get(k, 0)
+                      for k in runner.CACHE_COUNT_KEYS[section]}
+            for section in runner.SHARED_CACHES
         }
 
     def describe(self) -> str:
@@ -143,13 +151,10 @@ class CampaignSummary:
                 f"({self.snapshot.get('stores', 0)} images stored)"
             )
         if self.trace:
-            line = (
+            parts.append(
                 f"trace cache: {self.trace.get('hits', 0)} hits / "
                 f"{self.trace.get('misses', 0)} misses"
             )
-            if self.trace.get("disk_hits", 0) or self.trace.get("disk_dir"):
-                line += f" / {self.trace.get('disk_hits', 0)} disk hits"
-            parts.append(line)
         if self.store:
             parts.append(
                 f"result store: {self.store.get('hits', 0)} hits / "
@@ -282,16 +287,9 @@ def _simulate_payload(payload: dict) -> dict:
     its fold primes both once per result), so the cache counters a
     campaign reports do not depend on where its tasks ran.  A config
     listed twice in one task simulates once; the repeat copies the
-    first result.  The task reports its amortization-cache counter
-    deltas under ``__cache_stats__``.  An ``__amortize__`` key
-    (``{"trace_dir": ...}``) points a pool worker at the shared on-disk
-    trace cache; it is idempotent, so every pool task carries it.
+    first result.  The task reports its snapshot and trace cache counter
+    deltas under ``__cache_stats__``.
     """
-    amortize = payload.get("__amortize__")
-    if amortize and amortize.get("trace_dir"):
-        from repro.workloads.synthetic import configure_trace_cache
-
-        configure_trace_cache(disk_dir=amortize["trace_dir"])
     batch = payload["__batch__"]
     before = _cache_counts()
     results = []
@@ -469,19 +467,20 @@ def summarize_records(
     records: List[RunRecord],
     elapsed_s: float,
     store,
-    extra_caches: Optional[Dict[str, Dict[str, int]]] = None,
+    counts: Dict[str, Dict[str, int]],
 ) -> CampaignSummary:
     """Fold finished records plus cache counters into a summary.
 
-    ``extra_caches`` carries out-of-process counter deltas (pool-worker
-    batches, service runners) to merge with this process's own.
+    ``counts`` is the campaign's own cache work, in
+    :func:`~repro.harness.runner.cache_counts` form: how far this
+    process's counters moved plus the deltas pool workers or service
+    runners reported.  A counter it lacks reads 0.  The gauges are
+    read now.
     """
     caches = runner.cache_stats()
-    snapshot_counts = dict(caches["snapshot"])
-    trace_counts = dict(caches["trace"])
-    _merge_counts(
-        {"snapshot": snapshot_counts, "trace": trace_counts}, extra_caches
-    )
+    for section, keys in runner.CACHE_COUNT_KEYS.items():
+        mine = counts.get(section, {})
+        caches[section].update({k: mine.get(k, 0) for k in keys})
     return CampaignSummary(
         total=len(records),
         completed=sum(r.status == COMPLETED for r in records),
@@ -490,8 +489,8 @@ def summarize_records(
         quarantined=sum(r.status == QUARANTINED for r in records),
         elapsed_s=elapsed_s,
         memo=caches["memo"],
-        snapshot=snapshot_counts,
-        trace=trace_counts,
+        snapshot=caches["snapshot"],
+        trace=caches["trace"],
         store=store.stats() if store is not None else {},
     )
 
@@ -547,22 +546,6 @@ def _as_campaign_guard(guard):
     )
 
 
-def _shared_trace_dir(store, observed: bool,
-                      trace_dir: Optional[str] = None) -> Optional[str]:
-    """The on-disk trace cache a plain campaign's workers share.
-
-    ``trace_dir`` if given, else ``<store root>/traces``, so workers
-    stop regenerating identical traces and later campaigns on the store
-    reuse them too.  None for guarded or observed campaigns.
-    """
-    if observed:
-        return None
-    root = getattr(store, "root", None)
-    if trace_dir is None and root:
-        trace_dir = os.path.join(str(root), "traces")
-    return trace_dir
-
-
 def _as_progress(progress):
     """Normalize ``progress=`` to an ``on_event(kind, info)`` callable."""
     if progress is None or progress is False:
@@ -591,7 +574,6 @@ def run_campaign(
     guard=None,
     telemetry=None,
     progress=None,
-    trace_dir: Optional[str] = None,
 ) -> CampaignResult:
     """Execute every run of *grid*; never raises for individual runs.
 
@@ -612,12 +594,10 @@ def run_campaign(
     result has no trace), but their results still prime the caches when
     unguarded.  ``progress`` (``True`` for a stderr printer, or a
     callable) reports a ``done`` event per finished task, plus
-    ``heartbeat`` events while a pool campaign drains.  ``trace_dir``
-    points pool workers at a shared on-disk trace cache (defaults to
-    ``<store>/traces`` when a store with a root is installed; service
-    runners pass the broker's).
+    ``heartbeat`` events while a pool campaign drains.
     """
     t0 = time.monotonic()
+    since = _cache_counts(runner.CACHE_COUNT_KEYS)
     configs = grid.expand() if isinstance(grid, GridSpec) else list(grid)
     records: List[Optional[RunRecord]] = [None] * len(configs)
     guard_cfg = _as_campaign_guard(guard)
@@ -642,20 +622,11 @@ def run_campaign(
             run_keys["__guard__"] = guard_cfg.to_dict()
         if tel_cfg is not None:
             run_keys["__telemetry__"] = tel_cfg.to_dict()
-        # Inline tasks use whatever trace cache this process is pointed
-        # at: the setting is process-global.
-        shared_traces = None if inline else _shared_trace_dir(
-            effective_store, observed, trace_dir
-        )
 
         def _map(groups: List[List[int]], retries: int):
-            tasks = []
-            for group in groups:
-                task = {"__batch__": [{**configs[i].to_dict(), **run_keys}
-                                      for i in group]}
-                if shared_traces:
-                    task["__amortize__"] = {"trace_dir": shared_traces}
-                tasks.append(task)
+            tasks = [{"__batch__": [{**configs[i].to_dict(), **run_keys}
+                                    for i in group]}
+                     for group in groups]
             if inline:
                 return _map_inline(tasks, on_event)
             # The stall watchdog sees one completion per *task*; a batch
@@ -726,8 +697,10 @@ def run_campaign(
         runner.set_result_store(prev_store)
 
     done = [r for r in records if r is not None]
+    counts = _cache_delta(since, _cache_counts(runner.CACHE_COUNT_KEYS))
+    _merge_counts(counts, pool_caches)
     summary = summarize_records(
-        done, time.monotonic() - t0, effective_store, pool_caches
+        done, time.monotonic() - t0, effective_store, counts
     )
     return CampaignResult(done, summary)
 

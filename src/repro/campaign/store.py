@@ -105,8 +105,7 @@ def atomic_write_json(path: Path, payload: dict) -> Path:
     over the target, and finally the parent directory is fsynced so the
     rename itself survives power loss -- readers see either the old
     entry or the complete new one, never a torn write, even if the
-    writer is SIGKILLed mid-call (same discipline as the PR 5
-    trace-cache ``.npz`` writes).
+    writer is SIGKILLed mid-call.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

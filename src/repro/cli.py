@@ -82,8 +82,41 @@ def _reject_unknown(schemes=(), workloads=()) -> Optional[str]:
             f"(run `repro list` to see what is available)")
 
 
+def _int_at_least(low: int, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    return _int_at_least(1, text)
+
+
+def _seed(text: str) -> int:
+    return _int_at_least(0, text)
+
+
+def _int_list(item):
+    """An argparse type: a non-empty comma list, each element parsed by
+    *item*."""
+
+    def parse(text: str) -> List[int]:
+        values = [item(t) for t in _csv(text)]
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of integers, got {text!r}")
+        return values
+
+    return parse
+
+
 def _core_count(text: str) -> int:
-    cores = int(text)
+    cores = _positive(text)
     if cores > MAX_CORES:
         raise argparse.ArgumentTypeError(
             f"at most {MAX_CORES} cores are supported, got {cores}")
@@ -98,7 +131,7 @@ def cmd_run(args) -> int:
     nomad_cfg = None
     if args.pcshrs is not None or args.distributed:
         nomad_cfg = NomadConfig(
-            num_pcshrs=args.pcshrs or 16,
+            num_pcshrs=16 if args.pcshrs is None else args.pcshrs,
             topology=(BackendTopology.DISTRIBUTED if args.distributed
                       else BackendTopology.CENTRALIZED),
         )
@@ -223,10 +256,6 @@ def _csv(text: str) -> List[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _csv_ints(text: str) -> List[int]:
-    return [int(t) for t in _csv(text)]
-
-
 def cmd_sweep(args) -> int:
     schemes = _csv(args.schemes)
     workloads = _csv(args.workloads) if args.workloads else sorted(PRESETS)
@@ -237,9 +266,9 @@ def cmd_sweep(args) -> int:
 
     axes = []
     if args.pcshrs:
-        axes.append(("num_pcshrs", _csv_ints(args.pcshrs)))
+        axes.append(("num_pcshrs", args.pcshrs))
     if args.seeds:
-        axes.append(("seed", _csv_ints(args.seeds)))
+        axes.append(("seed", args.seeds))
     base = RunConfig(
         scheme=schemes[0], workload=workloads[0], num_mem_ops=args.ops,
         num_cores=args.cores, dc_megabytes=args.dc_mb, seed=args.seed,
@@ -514,7 +543,7 @@ def cmd_chaos(args) -> int:
         num_cores=args.cores, dc_megabytes=args.dc_mb,
     )
     grid = GridSpec(schemes=schemes, workloads=workloads, base=base,
-                    axes=[("seed", _csv_ints(args.seeds))])
+                    axes=[("seed", args.seeds)])
     configs = grid.expand()
 
     workdir = args.store or _tempfile.mkdtemp(prefix="repro-chaos-")
@@ -751,13 +780,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--ops", type=int, default=6000,
+        p.add_argument("--ops", type=_positive, default=6000,
                        help="memory ops per core (default 6000)")
         p.add_argument("--cores", type=_core_count, default=4,
                        help=f"simulated cores, at most {MAX_CORES} (default 4)")
-        p.add_argument("--dc-mb", type=int, default=64,
+        p.add_argument("--dc-mb", type=_positive, default=64,
                        help="DRAM cache capacity in MB")
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--seed", type=_seed, default=1)
         p.add_argument("--json", action="store_true",
                        help="structured JSON output instead of tables")
 
@@ -767,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one (scheme, workload)")
     p_run.add_argument("--scheme", required=True)
     p_run.add_argument("--workload", required=True)
-    p_run.add_argument("--pcshrs", type=int, default=None)
+    p_run.add_argument("--pcshrs", type=_positive, default=None)
     p_run.add_argument("--distributed", action="store_true",
                        help="distributed back-ends (NOMAD only)")
     p_run.add_argument("--guard", action="store_true",
@@ -801,9 +830,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma list of schemes")
     p_sw.add_argument("--workloads", default=None,
                       help="comma list of workloads (default: all presets)")
-    p_sw.add_argument("--pcshrs", default=None,
+    p_sw.add_argument("--pcshrs", type=_int_list(_positive), default=None,
                       help="comma list -> NOMAD num_pcshrs sweep axis")
-    p_sw.add_argument("--seeds", default=None,
+    p_sw.add_argument("--seeds", type=_int_list(_seed), default=None,
                       help="comma list -> seed sweep axis")
     p_sw.add_argument("--jobs", type=int, default=1,
                       help="worker processes (default 1 = serial)")
@@ -944,11 +973,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fault-schedule seed (default 0)")
     p_chaos.add_argument("--schemes", default="baseline,tdc,nomad")
     p_chaos.add_argument("--workloads", default="sop")
-    p_chaos.add_argument("--seeds", default="1,2,3,4",
+    p_chaos.add_argument("--seeds", type=_int_list(_seed), default="1,2,3,4",
                          help="seed axis of the grid (default 1,2,3,4)")
-    p_chaos.add_argument("--ops", type=int, default=300)
+    p_chaos.add_argument("--ops", type=_positive, default=300)
     p_chaos.add_argument("--cores", type=_core_count, default=2)
-    p_chaos.add_argument("--dc-mb", type=int, default=8)
+    p_chaos.add_argument("--dc-mb", type=_positive, default=8)
     p_chaos.add_argument("--runners", type=int, default=2,
                          help="in-process runner threads (default 2)")
     p_chaos.add_argument("--lease", type=float, default=3.0,

@@ -163,27 +163,34 @@ def cache_stats() -> Dict[str, Dict]:
     }
 
 
-# The amortization-cache counters that travel between processes: pool
-# workers and service runners report *deltas* of these so a campaign
-# summary (or the broker's /status) can aggregate hit rates fleet-wide.
+# The counters of each cache layer; every other key :func:`cache_stats`
+# reports (size, maxsize, bytes) is a gauge.  A campaign summary reports
+# how far the counters moved during the campaign.
 CACHE_COUNT_KEYS = {
+    "memo": ("hits", "misses", "evictions"),
     "snapshot": ("hits", "misses", "stores", "evictions"),
-    "trace": ("hits", "misses", "disk_hits", "disk_writes", "evictions"),
+    "trace": ("hits", "misses", "evictions"),
 }
+# The layers whose counters travel between processes: pool workers and
+# service runners report *deltas* of these so a campaign summary (or the
+# broker's /status) can aggregate hit rates fleet-wide.  Tasks never
+# consult the memo, so its counts stay with the process that prescans.
+SHARED_CACHES = ("snapshot", "trace")
 
 
-def cache_counts() -> Dict[str, Dict[str, int]]:
-    """The transportable subset of :func:`cache_stats` (ints only)."""
+def cache_counts(sections: Iterable[str] = SHARED_CACHES
+                 ) -> Dict[str, Dict[str, int]]:
+    """The counters of :func:`cache_stats` for *sections*."""
     caches = cache_stats()
     return {
-        section: {k: int(caches[section].get(k, 0)) for k in keys}
-        for section, keys in CACHE_COUNT_KEYS.items()
+        section: {k: caches[section][k] for k in CACHE_COUNT_KEYS[section]}
+        for section in sections
     }
 
 
 def cache_delta(before: Dict[str, Dict[str, int]],
                 after: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, int]]:
-    """Per-counter ``after - before`` over :data:`CACHE_COUNT_KEYS`."""
+    """Per-counter ``after - before`` over the sections of *before*."""
     return {
         section: {k: after[section][k] - before[section][k] for k in counts}
         for section, counts in before.items()

@@ -44,12 +44,16 @@ from repro.campaign.executor import (
     _as_campaign_telemetry,
     _as_progress,
     _plan_batches,
-    _shared_trace_dir,
     prescan,
     summarize_records,
 )
 from repro.campaign.grid import GridSpec
-from repro.harness.runner import RunConfig
+from repro.harness.runner import (
+    RunConfig,
+    cache_counts,
+    cache_delta,
+    merge_cache_counts,
+)
 from repro.service.protocol import (
     BrokerClient,
     BrokerError,
@@ -153,7 +157,12 @@ def run_distributed_campaign(
                       "span_id": campaign_span.span_id}
 
     records: List[Optional[RunRecord]] = [None] * len(configs)
+    # The coordinator simulates nothing: its own cache work is the
+    # prescan's memo lookups, and the snapshot and trace counts come
+    # from the broker, which sums what the runners reported.
+    memo_before = cache_counts(["memo"])
     pending = prescan(configs, records, store, skip_caches=observed)
+    counts = cache_delta(memo_before, cache_counts(["memo"]))
 
     submitted: List[str] = []
     if pending:
@@ -166,9 +175,6 @@ def run_distributed_campaign(
         }
         if trace_meta is not None:
             meta["trace"] = dict(trace_meta)
-        shared_traces = _shared_trace_dir(store, observed)
-        if shared_traces:
-            meta["trace_dir"] = shared_traces
         batches = []
         for group in groups:
             payloads = [configs[i].to_dict() for i in group]
@@ -242,16 +248,16 @@ def run_distributed_campaign(
                 records[i] = _record_from_item(i, configs[i], item)
 
     done_records = [r for r in records if r is not None]
-    broker_caches = {}
     try:
         status = client.status(cid)
-        broker_caches = (
-            status.get("campaigns", {}).get(cid, {}).get("cache_counts", {})
+        merge_cache_counts(
+            counts,
+            status.get("campaigns", {}).get(cid, {}).get("cache_counts", {}),
         )
     except BrokerError:
         pass
     summary = summarize_records(
-        done_records, time.monotonic() - t0, store, broker_caches
+        done_records, time.monotonic() - t0, store, counts
     )
     _LOG.info(
         "campaign.done", campaign=cid, records=len(done_records),

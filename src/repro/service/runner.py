@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.campaign.executor import run_campaign
-from repro.harness.runner import cache_counts, cache_delta
+from repro.harness.runner import cache_counts
 from repro.service.protocol import (
     BrokerClient,
     BrokerUnreachable,
@@ -46,83 +46,37 @@ def default_runner_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-class _trace_cache_pointed_at:
-    """Point the disk trace-cache layer at the batch's shared dir.
-
-    Restores the previous setting on exit: runner loops can run as
-    threads inside a larger process (tests, embedded local services),
-    and the trace-cache layer is process-global state.
-    """
-
-    def __init__(self, meta: dict):
-        self.trace_dir = (meta or {}).get("trace_dir")
-        self.prev = None
-
-    def __enter__(self):
-        if self.trace_dir:
-            from repro.workloads.synthetic import (
-                configure_trace_cache,
-                trace_cache_stats,
-            )
-
-            self.prev = trace_cache_stats()["disk_dir"] or None
-            configure_trace_cache(disk_dir=self.trace_dir)
-        return self
-
-    def __exit__(self, *exc):
-        if self.trace_dir:
-            from repro.workloads.synthetic import configure_trace_cache
-
-            configure_trace_cache(disk_dir=self.prev)
-        return False
-
-
 def execute_batch(batch: dict, jobs: int = 1,
                   on_event: Optional[Callable[[str, dict], None]] = None):
-    """Run one claimed batch; returns ``(items, cache_stats_delta)``.
+    """Run one claimed batch; returns ``(items, cache_counts)``, the
+    latter the batch's snapshot and trace cache work.
 
     The batch's configs go through :func:`run_campaign` with *no*
     result store (the broker owns the store; a runner only computes),
     so quarantine classification happens here -- a deterministic
     failure is reported with status ``quarantined`` and the broker does
-    the actual ``put_failure``.
+    the actual ``put_failure``.  Meta keys it does not read are
+    ignored, so batches replayed from an older journal still run.
     """
     from repro.harness.runner import RunConfig
 
-    meta = dict(batch.get("meta") or {})
+    meta = batch.get("meta") or {}
     configs = [RunConfig.from_dict(c) for c in batch["configs"]]
-    before = cache_counts()
-    with _trace_cache_pointed_at(meta):
-        campaign = run_campaign(
-            configs,
-            jobs=jobs,
-            store=None,
-            timeout=meta.get("timeout"),
-            retries=int(meta.get("retries", 1)),
-            guard=meta.get("guard"),
-            telemetry=meta.get("telemetry"),
-            trace_dir=meta.get("trace_dir"),
-            progress=on_event,
-        )
-    # The summary's snapshot/trace counters are this process's
-    # cumulative counts plus any pool-worker deltas; subtracting the
-    # pre-batch snapshot yields exactly this batch's contribution.
-    summary_counts = {
-        "snapshot": {
-            k: int(campaign.summary.snapshot.get(k, 0))
-            for k in before["snapshot"]
-        },
-        "trace": {
-            k: int(campaign.summary.trace.get(k, 0))
-            for k in before["trace"]
-        },
-    }
-    delta = cache_delta(before, summary_counts)
+    campaign = run_campaign(
+        configs,
+        jobs=jobs,
+        store=None,
+        timeout=meta.get("timeout"),
+        retries=int(meta.get("retries", 1)),
+        guard=meta.get("guard"),
+        telemetry=meta.get("telemetry"),
+        progress=on_event,
+    )
     indices = batch["indices"]
     items = [
         record_to_item(rec, indices[rec.index]) for rec in campaign.records
     ]
-    return items, delta
+    return items, campaign.summary.cache_counts()
 
 
 def runner_loop(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -208,131 +208,37 @@ class SyntheticWorkload:
 #
 # A scheme comparison re-runs the same (spec, seed, core) trace once per
 # scheme; generation is deterministic, so the materialized op list can be
-# shared.  Two layers:
-#
-# * an in-process insertion-ordered LRU (traces are a few MB each, so
-#   the bound is small but configurable), and
-# * an optional on-disk layer (``configure_trace_cache(disk_dir=...)``)
-#   so campaign pool workers stop regenerating identical numpy traces
-#   N-workers x M-schemes times.  Disk entries are compressed npz
-#   column arrays keyed by a versioned content hash of (spec, seed,
-#   core) and written atomically (tmp + rename), so concurrent workers
-#   can share a directory without locking.
+# shared.  One in-process insertion-ordered LRU holds the most recent
+# traces (a few MB each, so the bound is small).  Nothing is kept on
+# disk: a trace is fixed by its (spec, seed, core) and regenerating it
+# costs about as much as loading a stored copy would.
 
 _TRACE_CACHE: "dict[tuple, list]" = {}
 _TRACE_CACHE_MAX = 32
-_TRACE_DISK_DIR: Optional[str] = None
-# Bump when the trace tuple layout or generation algorithm changes;
-# stale disk entries then simply never match.
-TRACE_CACHE_VERSION = 1
 
 _TRACE_STATS = {
-    "hits": 0,  # in-memory LRU hits
+    "hits": 0,  # LRU hits
     "misses": 0,  # full generations
-    "disk_hits": 0,  # served from the on-disk layer
-    "disk_writes": 0,
     "evictions": 0,
 }
 
-_UNSET = object()
-
-
-def configure_trace_cache(maxsize=_UNSET, disk_dir=_UNSET) -> None:
-    """Re-bound the in-memory trace LRU and/or (un)install the disk layer.
-
-    Omitted arguments keep their current setting.  ``disk_dir=None``
-    disables the disk layer; ``maxsize=0`` makes the memory layer
-    pass-through.  Counters are preserved (use :func:`clear_trace_cache`
-    to reset them).
-    """
-    global _TRACE_CACHE_MAX, _TRACE_DISK_DIR
-    if maxsize is not _UNSET:
-        _TRACE_CACHE_MAX = int(maxsize)
-        while len(_TRACE_CACHE) > _TRACE_CACHE_MAX:
-            del _TRACE_CACHE[next(iter(_TRACE_CACHE))]
-            _TRACE_STATS["evictions"] += 1
-    if disk_dir is not _UNSET:
-        _TRACE_DISK_DIR = str(disk_dir) if disk_dir else None
-
 
 def trace_cache_stats() -> dict:
-    """Counters + bounds of both trace-cache layers."""
+    """Counters and bounds of the trace LRU."""
     out = dict(_TRACE_STATS)
     out["size"] = len(_TRACE_CACHE)
     out["maxsize"] = _TRACE_CACHE_MAX
-    out["disk_dir"] = _TRACE_DISK_DIR or ""
+    # Always 0: traces are never stored on disk, but the benchmark
+    # ledger (perfbench/ledger.py) still adds this key to its lookups.
+    out["disk_hits"] = 0
     return out
-
-
-def _disk_key(spec: WorkloadSpec, seed: int, core_id: int) -> str:
-    import dataclasses
-    import hashlib
-    import json
-
-    doc = {
-        "version": TRACE_CACHE_VERSION,
-        "spec": dataclasses.asdict(spec),
-        "seed": seed,
-        "core_id": core_id,
-    }
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode()
-    ).hexdigest()[:32]
-
-
-def _disk_load(path) -> Optional[list]:
-    try:
-        with np.load(path) as data:
-            cols = [data[c].tolist() for c in ("gaps", "addrs", "writes", "deps")]
-    except Exception:
-        return None  # missing, truncated, or stale-format entry
-    return list(zip(*cols))
-
-
-def _disk_store(path, trace: list) -> None:
-    import os
-    import tempfile
-
-    gaps, addrs, writes, deps = zip(*trace) if trace else ((), (), (), ())
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path), suffix=".tmp.npz"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                gaps=np.asarray(gaps, dtype=np.int64),
-                addrs=np.asarray(addrs, dtype=np.int64),
-                writes=np.asarray(writes, dtype=bool),
-                deps=np.asarray(deps, dtype=bool),
-            )
-        os.replace(tmp, path)
-    except Exception:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
-def _memo_insert(key: tuple, trace: list) -> None:
-    if _TRACE_CACHE_MAX <= 0:
-        return
-    if len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-        del _TRACE_CACHE[next(iter(_TRACE_CACHE))]
-        _TRACE_STATS["evictions"] += 1
-    _TRACE_CACHE[key] = trace
 
 
 def materialized_trace(spec: WorkloadSpec, seed: int, core_id: int) -> list:
     """Memoized ``SyntheticWorkload(spec, seed, core_id).materialize()``.
 
     The returned list is shared between callers and must not be mutated.
-    Lookup order: in-memory LRU, then the disk layer (if configured),
-    then generation (which writes through to both layers).
     """
-    import os
-
     key = (spec, seed, core_id)
     trace = _TRACE_CACHE.get(key)
     if trace is not None:
@@ -341,28 +247,17 @@ def materialized_trace(spec: WorkloadSpec, seed: int, core_id: int) -> list:
         _TRACE_CACHE[key] = trace
         _TRACE_STATS["hits"] += 1
         return trace
-    path = None
-    if _TRACE_DISK_DIR is not None:
-        path = os.path.join(
-            _TRACE_DISK_DIR, f"{_disk_key(spec, seed, core_id)}.npz"
-        )
-        trace = _disk_load(path)
-        if trace is not None:
-            _TRACE_STATS["disk_hits"] += 1
-            _memo_insert(key, trace)
-            return trace
     trace = SyntheticWorkload(spec, seed=seed, core_id=core_id).materialize()
     _TRACE_STATS["misses"] += 1
-    _memo_insert(key, trace)
-    if path is not None:
-        _disk_store(path, trace)
-        _TRACE_STATS["disk_writes"] += 1
+    if len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
+        del _TRACE_CACHE[next(iter(_TRACE_CACHE))]
+        _TRACE_STATS["evictions"] += 1
+    _TRACE_CACHE[key] = trace
     return trace
 
 
 def clear_trace_cache() -> None:
-    """Drop all memoized traces and reset the counters (the disk layer's
-    files are left alone; tests manage their own directories)."""
+    """Drop all memoized traces and reset the counters."""
     _TRACE_CACHE.clear()
     for name in _TRACE_STATS:
         _TRACE_STATS[name] = 0

@@ -71,6 +71,38 @@ def test_memo_counts_do_not_depend_on_jobs():
     assert (pooled["hits"], pooled["misses"]) == (0, 4)
 
 
+def test_pool_campaign_stores_no_traces(tmp_path):
+    grid = GridSpec(schemes=("baseline", "nomad"), workloads=("sop",),
+                    base=BASE, axes={"seed": (1, 2)})
+    campaign = run_campaign(grid, jobs=2, store=ResultStore(tmp_path / "s"))
+    assert campaign.ok and campaign.summary.completed == 4
+    assert not (tmp_path / "s" / "traces").exists()
+    assert not list((tmp_path / "s").rglob("*.npz"))
+
+
+def test_summary_counts_only_its_own_campaign():
+    """A second campaign in the same process reports its own cache work,
+    not the first one's as well."""
+    from repro.workloads.synthetic import clear_trace_cache
+
+    runner.clear_snapshot_cache()
+    clear_trace_cache()
+    tdc = [BASE.with_(scheme="tdc", seed=s) for s in (1, 2)]
+    run_campaign(tdc, jobs=1)
+    before = runner.cache_stats()
+    second = run_campaign([c.with_(scheme="nomad") for c in tdc], jobs=1)
+    after = runner.cache_stats()
+    summary = second.summary
+    assert (summary.memo["hits"], summary.memo["misses"]) == (0, 2)
+    assert (summary.snapshot["hits"], summary.snapshot["misses"]) == (1, 1)
+    for section in ("memo", "snapshot", "trace"):
+        got = getattr(summary, section)
+        for k in ("hits", "misses", "evictions"):
+            assert got[k] == after[section][k] - before[section][k], (section, k)
+    # Gauges stay current values: both campaigns' builds are cached.
+    assert summary.snapshot["size"] == 2
+
+
 def test_config_listed_twice_in_one_task_simulates_once(monkeypatch):
     simulated = []
     real = runner.simulate

@@ -44,18 +44,9 @@ GRID12 = [
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    # Chaos runners execute as threads in this process; pin the host
-    # trace-cache config so batch-local disk layers don't leak.
-    from repro.workloads.synthetic import (
-        configure_trace_cache,
-        trace_cache_stats,
-    )
-
-    disk_dir = trace_cache_stats()["disk_dir"] or None
     clear_cache()
     yield
     clear_cache()
-    configure_trace_cache(disk_dir=disk_dir)
 
 
 @pytest.fixture(scope="module")

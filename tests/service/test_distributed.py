@@ -24,19 +24,9 @@ GRID = [BASE.with_(seed=s) for s in (1, 2, 3, 4)]
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    # Concurrent runner *threads* interleave execute_batch's disk-layer
-    # save/restore nondeterministically (real runners are processes),
-    # so pin the host process's trace-cache config here too.
-    from repro.workloads.synthetic import (
-        configure_trace_cache,
-        trace_cache_stats,
-    )
-
-    disk_dir = trace_cache_stats()["disk_dir"] or None
     clear_cache()
     yield
     clear_cache()
-    configure_trace_cache(disk_dir=disk_dir)
 
 
 def _start_runners(url, count=2, **kwargs):
@@ -266,25 +256,75 @@ def test_coordinator_enqueues_the_config_of_a_guard():
     assert stub.meta["guard"] == cfg.to_dict()
 
 
-def test_runner_restores_trace_cache_config(tmp_path):
-    # Runner loops may execute as threads inside a larger process; the
-    # disk trace-cache layer they point at the campaign store must not
-    # leak into the host process after the batch finishes.
+def test_batch_meta_trace_dir_is_ignored(tmp_path):
+    # A broker replaying a journal written when batches named a shared
+    # trace directory still hands that meta key to its runners: they run
+    # the batch and write nothing there.
     from repro.service.runner import execute_batch
-    from repro.service.protocol import batch_id_for
-    from repro.workloads.synthetic import trace_cache_stats
+    from repro.workloads.synthetic import clear_trace_cache, trace_cache_stats
 
-    before = trace_cache_stats()["disk_dir"]
+    clear_trace_cache()  # so the batch generates its traces
+    before = trace_cache_stats()
+    trace_dir = tmp_path / "traces"
     payloads = [GRID[0].to_dict()]
-    items, _ = execute_batch({
+    items, counts = execute_batch({
         "batch_id": batch_id_for("t", payloads),
         "campaign_id": "t",
         "indices": [0],
         "configs": payloads,
-        "meta": {"trace_dir": str(tmp_path / "traces")},
+        "meta": {"trace_dir": str(trace_dir)},
     })
     assert len(items) == 1 and items[0]["status"] == "completed"
-    assert trace_cache_stats()["disk_dir"] == before
+    assert not trace_dir.exists()
+    after = trace_cache_stats()
+    assert after.keys() == before.keys()
+    assert (after["maxsize"], after["disk_hits"]) == (before["maxsize"], 0)
+    assert counts["trace"]["misses"] == after["misses"] - before["misses"]
+
+
+def _drain(store, configs):
+    """A distributed campaign through an in-process broker and one
+    runner thread."""
+    broker = Broker(store.root, lease_s=30.0)
+    with BrokerServer(broker) as server:
+        threads = _start_runners(server.url, count=1)
+        campaign = run_distributed_campaign(
+            configs, server.url, store, jobs=1, max_wait_s=120.0,
+            progress=False,
+        )
+        for t in threads:
+            t.join(timeout=30)
+    assert campaign.ok
+    assert not any(t.is_alive() for t in threads)
+    return campaign
+
+
+def test_distributed_campaign_stores_no_traces(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    _drain(store, GRID)
+    assert len(store) == len(GRID)
+    assert not (tmp_path / "store" / "traces").exists()
+    assert not list((tmp_path / "store").rglob("*.npz"))
+
+
+def test_distributed_summary_counts_runner_work_once(tmp_path):
+    # The runner thread shares this process's caches, so the process's
+    # counters moved by exactly the campaign's work; the summary must
+    # report that once, not once from the broker and again locally.
+    from repro.harness.runner import cache_counts, clear_snapshot_cache
+    from repro.workloads.synthetic import clear_trace_cache
+
+    clear_snapshot_cache()
+    clear_trace_cache()
+    configs = [BASE.with_(scheme="nomad", seed=s) for s in (1, 2, 3, 4)]
+    campaign = _drain(ResultStore(tmp_path / "store"), configs)
+    summary, done = campaign.summary, cache_counts()
+    # One build forked three times; two cores' traces per seed.
+    assert (summary.snapshot["misses"], summary.snapshot["hits"]) == (1, 3)
+    assert summary.trace["misses"] == 8
+    assert summary.cache_counts() == done
+    # The coordinator's memo work is its prescan: one miss per config.
+    assert (summary.memo["hits"], summary.memo["misses"]) == (0, 4)
 
 
 def test_resume_unknown_campaign_fails_loudly(tmp_path):

@@ -25,16 +25,9 @@ GRID = [BASE.with_(scheme=scheme, seed=seed)
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    from repro.workloads.synthetic import (
-        configure_trace_cache,
-        trace_cache_stats,
-    )
-
-    disk_dir = trace_cache_stats()["disk_dir"] or None
     clear_cache()
     yield
     clear_cache()
-    configure_trace_cache(disk_dir=disk_dir)
 
 
 @pytest.fixture

@@ -80,6 +80,36 @@ def test_run_rejects_more_cores_than_the_tlb_directory_holds(capsys):
     assert "at most 64 cores" in capsys.readouterr().err
 
 
+SMALL = ["--ops", "200", "--cores", "2", "--dc-mb", "8"]
+RUN = ["run", "--scheme", "nomad", "--workload", "sop", *SMALL]
+SWEEP = ["sweep", "--schemes", "nomad", "--workloads", "sop", *SMALL,
+         "--no-store", "--no-progress"]
+
+
+@pytest.mark.parametrize("argv, flag, problem", [
+    (RUN + ["--cores", "0"], "--cores", "must be at least 1, got 0"),
+    (RUN + ["--dc-mb", "0"], "--dc-mb", "must be at least 1, got 0"),
+    (RUN + ["--ops", "-5"], "--ops", "must be at least 1, got -5"),
+    (RUN + ["--seed", "-1"], "--seed", "must be at least 0, got -1"),
+    (RUN + ["--pcshrs", "0"], "--pcshrs", "must be at least 1, got 0"),
+    (RUN + ["--ops", "many"], "--ops", "expected an integer, got 'many'"),
+    (SWEEP + ["--seeds", ","], "--seeds", "expected a comma list"),
+    (SWEEP + ["--seeds", "1,-1"], "--seeds", "must be at least 0, got -1"),
+    (SWEEP + ["--pcshrs", "4,0"], "--pcshrs", "must be at least 1, got 0"),
+    (SWEEP + ["--pcshrs", ""], "--pcshrs", "expected a comma list"),
+    (["chaos", "--dc-mb", "0"], "--dc-mb", "must be at least 1, got 0"),
+    (["chaos", "--seeds", ","], "--seeds", "expected a comma list"),
+])
+def test_impossible_sizes_exit_2_at_parse_time(capsys, argv, flag, problem):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert f"error: argument {flag}: {problem}" in last, err
+
+
 def test_run_guarded(capsys):
     rc = main(["run", "--scheme", "nomad", "--workload", "sop",
                "--ops", "200", "--cores", "2", "--dc-mb", "8", "--guard"])

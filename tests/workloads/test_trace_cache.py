@@ -1,11 +1,12 @@
-"""Trace-cache layers: bounded memory LRU, counters, disk round-trip."""
+"""Trace cache: one bounded in-memory LRU with counters."""
 
 import pytest
 
+from repro.workloads import synthetic
 from repro.workloads.presets import workload
 from repro.workloads.synthetic import (
+    SyntheticWorkload,
     clear_trace_cache,
-    configure_trace_cache,
     materialized_trace,
     trace_cache_stats,
 )
@@ -17,11 +18,8 @@ def _spec(name="sop", ops=120):
 
 @pytest.fixture(autouse=True)
 def _pristine_cache():
-    before = trace_cache_stats()
     clear_trace_cache()
     yield
-    configure_trace_cache(maxsize=before["maxsize"],
-                          disk_dir=before["disk_dir"] or None)
     clear_trace_cache()
 
 
@@ -32,6 +30,9 @@ def test_memory_hit_and_miss_counters():
     materialized_trace(_spec(), seed=1, core_id=0)
     stats = trace_cache_stats()
     assert stats["hits"] == 1 and stats["size"] == 1
+    # Traces are never stored on disk; the key stays for readers that
+    # still count disk hits into their lookups.
+    assert stats["disk_hits"] == 0
 
 
 def test_distinct_keys_do_not_collide():
@@ -42,56 +43,25 @@ def test_distinct_keys_do_not_collide():
     assert a != b and a != c
 
 
-def test_memory_layer_is_bounded():
-    configure_trace_cache(maxsize=2)
+def test_memory_layer_is_bounded(monkeypatch):
+    monkeypatch.setattr(synthetic, "_TRACE_CACHE_MAX", 2)
     for seed in (1, 2, 3):
         materialized_trace(_spec(), seed=seed, core_id=0)
     stats = trace_cache_stats()
-    assert stats["size"] == 2
+    assert stats["size"] == 2 and stats["maxsize"] == 2
     assert stats["evictions"] == 1
     # seed=1 was evicted: regenerating it is a miss, not a hit.
     materialized_trace(_spec(), seed=1, core_id=0)
     assert trace_cache_stats()["hits"] == 0
 
 
-def test_shrinking_maxsize_evicts_down():
-    for seed in (1, 2, 3):
-        materialized_trace(_spec(), seed=seed, core_id=0)
-    configure_trace_cache(maxsize=1)
-    assert trace_cache_stats()["size"] == 1
-
-
-def test_disk_layer_round_trips_bit_identically(tmp_path):
-    configure_trace_cache(disk_dir=str(tmp_path))
-    generated = materialized_trace(_spec("cact"), seed=5, core_id=0)
-    assert trace_cache_stats()["disk_writes"] == 1
-    # Drop the memory layer so only the disk file can answer.
-    clear_trace_cache()
-    configure_trace_cache(disk_dir=str(tmp_path))
-    loaded = materialized_trace(_spec("cact"), seed=5, core_id=0)
-    stats = trace_cache_stats()
-    assert stats["disk_hits"] == 1
-    assert loaded == generated
+def test_memoized_trace_equals_a_fresh_generation():
+    spec = _spec("cact")
+    first = materialized_trace(spec, seed=5, core_id=0)
+    assert materialized_trace(spec, seed=5, core_id=0) is first
+    assert first == SyntheticWorkload(spec, seed=5, core_id=0).materialize()
     # Native scalars, not numpy: downstream code mixes them into dicts
     # and bit-identity depends on exact types.
-    gap, addr, is_write, dep = loaded[0]
+    gap, addr, is_write, dep = first[0]
     assert type(gap) is int and type(addr) is int
     assert type(is_write) is bool
-
-
-def test_disk_hit_promotes_into_memory(tmp_path):
-    configure_trace_cache(disk_dir=str(tmp_path))
-    materialized_trace(_spec(), seed=8, core_id=0)
-    clear_trace_cache()
-    configure_trace_cache(disk_dir=str(tmp_path))
-    materialized_trace(_spec(), seed=8, core_id=0)  # disk hit
-    materialized_trace(_spec(), seed=8, core_id=0)  # now a memory hit
-    stats = trace_cache_stats()
-    assert stats["disk_hits"] == 1 and stats["hits"] == 1
-
-
-def test_disk_layer_disabled_by_default():
-    materialized_trace(_spec(), seed=1, core_id=0)
-    stats = trace_cache_stats()
-    assert stats["disk_dir"] == ""
-    assert stats["disk_writes"] == 0
