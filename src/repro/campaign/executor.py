@@ -260,7 +260,7 @@ def _failed_record(index: int, cfg: RunConfig, status: str,
 # ---------------------------------------------------------------------------
 
 # Shared with repro.service runners; see harness.runner.
-_cache_counts = runner.cache_counts
+_cache_counts = runner.thread_cache_counts
 _cache_delta = runner.cache_delta
 _merge_counts = runner.merge_cache_counts
 

@@ -621,73 +621,40 @@ def cmd_table1(args) -> int:
 def cmd_bench(args) -> int:
     from repro.harness import bench
 
-    if args.obs:
-        measured = bench.run_obs_bench(quick=args.quick)
-    else:
-        measured = bench.run_bench(quick=args.quick, sweep=args.sweep)
-
+    version = bench.python_version()
+    report = bench.load_report()
+    committed = report.get("counts", {}).get(version)
+    if committed is None and not args.update:
+        print(f"error: {bench.REPORT} has no opcode counts for Python "
+              f"{version}; record them with `repro bench --update`",
+              file=sys.stderr)
+        return 2
+    measured = bench.measure()
     if args.update:
-        bench.update_report(args.file, measured)
-        print(f"updated 'current' entries in {args.file}")
-
-    problems: List[str] = []
-    committed = None
-    try:
-        committed = bench.load_report(args.file)
-    except FileNotFoundError:
-        if args.check or args.update:
-            print(f"error: no committed report at {args.file}", file=sys.stderr)
-            return 2
-    if args.check:
-        problems = bench.check_regression(committed, measured)
-
+        bench.write_counts(report, measured)
+    # Against its own counts an update can fail only the obs budget.
+    problems = bench.check(measured if args.update else committed, measured)
     if args.json:
-        payload = {"measured": measured}
-        if problems:
-            payload["problems"] = problems
-        _emit_json(payload)
-    else:
-        rows = []
-        for name, entry in measured["scenarios"].items():
-            row = {"scenario": name, "runs_per_sec": entry["runs_per_sec"]}
-            if args.sweep:
-                snap_total = entry["snapshot_forks"] + entry["snapshot_builds"]
-                row["snapshot_forks"] = (
-                    f"{entry['snapshot_forks']}/{snap_total} "
-                    f"({entry['snapshot_hit_rate']:.0%})"
-                )
-            elif "events_per_sec" in entry:
-                row["events_per_sec"] = entry["events_per_sec"]
-            row["normalized"] = entry["normalized"]
-            if committed is not None:
-                block = committed.get("scenarios", {}).get(name, {})
-                base = block.get("baseline")
-                if base and base.get("normalized"):
-                    row["speedup_vs_baseline"] = (
-                        entry["normalized"] / base["normalized"]
-                    )
-            rows.append(row)
-        if args.obs:
-            title = "service sweep with observability off vs fully on"
-        elif args.sweep:
-            title = ("sweep benchmark (campaign runs/sec; baseline = "
-                     "snapshot forking off)")
-        else:
-            title = ("engine benchmark (normalized = runs/sec per "
-                     "normalizer op/sec)")
-        print(format_table(rows, title=title))
-        if args.obs:
-            frac = measured.get("obs_overhead_frac", 0.0)
-            noise = measured.get("obs_noise_frac", 0.0)
-            print(f"obs overhead: {frac:+.1%} wall clock "
-                  f"(budget {bench.OBS_OVERHEAD_FAIL_FRAC:.0%}, "
-                  f"rep noise {noise:.1%})")
-        for p in problems:
-            print(p)
-
-    if any(p.startswith("FAIL") for p in problems):
-        return 1
-    return 0
+        _emit_json({"python": version, "measured": measured,
+                    "problems": problems})
+        return 1 if problems else 0
+    print(f"opcode meter (Python {version}): opcodes, per memory op, "
+          f"committed per memory op, top packages")
+    for name, entry in measured.items():
+        was = (committed or {}).get(name, {}).get("per_mem_op", 0.0)
+        top = ", ".join(f"{p} {n / entry['opcodes']:.0%}"
+                        for p, n in list(entry["packages"].items())[:5])
+        print(f"  {name:16}{entry['opcodes']:>12,}"
+              f"{entry['per_mem_op']:>10,.1f}{was:>10,.1f}  {top}")
+    print(f"sweep: {measured['sweep']['forks']} forks, "
+          f"{measured['sweep']['builds']} builds; obs on/off opcode ratio "
+          f"{bench.obs_ratio(measured):.4f} "
+          f"(limit {1 + bench.OBS_OVERHEAD_FAIL_FRAC:.2f})")
+    if args.update:
+        print(f"recorded the Python {version} counts in {bench.REPORT}")
+    for problem in problems:
+        print(f"FAIL: {problem}")
+    return 1 if problems else 0
 
 
 def cmd_obs(args) -> int:
@@ -1002,28 +969,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1.set_defaults(func=cmd_table1)
 
     p_bench = sub.add_parser(
-        "bench", help="measure engine throughput (perf-regression harness)"
+        "bench", help="count the opcodes of fixed scenarios and compare "
+                      "them with the committed report (cost gate)"
     )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="CI smoke size only (skip the full scenario)")
-    p_bench.add_argument("--file", default="BENCH_engine.json",
-                         help="committed report path (default BENCH_engine.json)")
-    p_bench.add_argument("--check", action="store_true",
-                         help="compare against the committed report; exit 1 "
-                              "on a >25%% normalized-throughput regression")
     p_bench.add_argument("--update", action="store_true",
-                         help="rewrite the committed report's 'current' "
-                              "entries (baselines stay frozen)")
-    p_bench.add_argument("--sweep", action="store_true",
-                         help="measure campaign sweep throughput (machine-"
-                              "snapshot amortization) instead of the engine "
-                              "scenarios")
-    p_bench.add_argument("--obs", action="store_true",
-                         help="measure the distributed sweep with "
-                              "observability off vs fully on; with --check, "
-                              "fail if the overhead exceeds the budget")
+                         help="record this Python version's counts in the "
+                              "committed report instead of gating on them")
     p_bench.add_argument("--json", action="store_true",
-                         help="structured JSON output instead of tables")
+                         help="structured JSON output instead of a table")
     p_bench.set_defaults(func=cmd_bench)
 
     p_obs = sub.add_parser(

@@ -17,6 +17,7 @@ repeated snapshots are safe.
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from typing import Dict, Iterable, Optional
 
@@ -160,6 +161,34 @@ class BandwidthMeter:
         if not total:
             return {}
         return {tc.name: b / total for tc, b in self.bytes_by_class.items()}
+
+
+class CacheTally:
+    """A cache layer's event counters (hits, misses, ...), kept twice:
+    ``total`` for the whole process and :meth:`thread` for the calling
+    thread, so threads sharing one process can each report their own
+    work."""
+
+    def __init__(self, *names: str):
+        self.names = names
+        self.clear()
+
+    def add(self, name: str) -> None:
+        self.total[name] += 1
+        self._threads.counts[name] += 1
+
+    def thread(self) -> Dict[str, int]:
+        """The calling thread's counts since the last :meth:`clear`."""
+        return dict(self._threads.counts)
+
+    def clear(self) -> None:
+        self.total = dict.fromkeys(self.names, 0)
+        self._threads = _ThreadCounts(self.names)
+
+
+class _ThreadCounts(threading.local):
+    def __init__(self, names):
+        self.counts = dict.fromkeys(names, 0)
 
 
 class StatGroup:

@@ -95,9 +95,12 @@ def scaled_system(num_cores: int = 4, dc_megabytes: int = 64) -> SystemConfig:
     """A laptop-scale configuration preserving the paper's ratios.
 
     The DRAM cache shrinks to ``dc_megabytes``; the L3 shrinks by the same
-    factor (16 MB * 64 MB / 4 GB = 1 MB for the default), so the
-    LLC-miss-to-DC-capacity ratio matches the paper.  DRAM timings are
-    untouched -- bandwidth and latency are the physics being studied.
+    factor, to no less than 256 KB, so the LLC-miss-to-DC-capacity ratio
+    matches the paper.  For the default that is 16 MB * 64 MB / 4 GB =
+    256 KB, the floor: at 4 cores a quarter of the four 256 KB L2s the
+    L3 must include, so it never hits (EXPERIMENTS.md, modelling delta
+    6).  DRAM timings are untouched -- bandwidth and latency are the
+    physics being studied.
     """
     dc_bytes = dc_megabytes * 1024 * 1024
     shrink = (4 * 1024**3) // dc_bytes

@@ -30,6 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterable, Optional, Tuple
 
+from repro.common.stats import CacheTally
 from repro.config.schemes import NomadConfig, TDCConfig, TiDConfig
 from repro.config.system import scaled_system
 from repro.snapshot import (
@@ -40,7 +41,7 @@ from repro.snapshot import (
 )
 from repro.system.builder import build_machine
 from repro.system.machine import Machine, MachineResult
-from repro.workloads.synthetic import trace_cache_stats
+from repro.workloads.synthetic import TRACE_COUNTS, trace_cache_stats
 
 
 @dataclass(frozen=True)
@@ -100,18 +101,16 @@ class MemoCache:
     def __init__(self, maxsize: int = 4096):
         self.maxsize = maxsize
         self._data: "OrderedDict[RunConfig, MachineResult]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.counts = CacheTally("hits", "misses", "evictions")
 
     def get(self, key: RunConfig) -> Optional[MachineResult]:
         try:
             value = self._data[key]
         except KeyError:
-            self.misses += 1
+            self.counts.add("misses")
             return None
         self._data.move_to_end(key)
-        self.hits += 1
+        self.counts.add("hits")
         return value
 
     def put(self, key: RunConfig, value: MachineResult) -> None:
@@ -119,20 +118,18 @@ class MemoCache:
         self._data.move_to_end(key)
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
-            self.evictions += 1
+            self.counts.add("evictions")
 
     def clear(self) -> None:
         self._data.clear()
-        self.hits = self.misses = self.evictions = 0
+        self.counts.clear()
 
     def __len__(self) -> int:
         return len(self._data)
 
     def stats(self) -> Dict[str, int]:
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
+            **self.counts.total,
             "size": len(self._data),
             "maxsize": self.maxsize,
         }
@@ -178,14 +175,24 @@ CACHE_COUNT_KEYS = {
 SHARED_CACHES = ("snapshot", "trace")
 
 
+def _tallies() -> Dict[str, CacheTally]:
+    return {"memo": _CACHE.counts, "snapshot": _SNAPSHOTS.counts,
+            "trace": TRACE_COUNTS}
+
+
 def cache_counts(sections: Iterable[str] = SHARED_CACHES
                  ) -> Dict[str, Dict[str, int]]:
-    """The counters of :func:`cache_stats` for *sections*."""
-    caches = cache_stats()
-    return {
-        section: {k: caches[section][k] for k in CACHE_COUNT_KEYS[section]}
-        for section in sections
-    }
+    """The counters of :func:`cache_stats` for *sections*: this
+    process's totals."""
+    return {section: dict(_tallies()[section].total) for section in sections}
+
+
+def thread_cache_counts(sections: Iterable[str] = SHARED_CACHES
+                        ) -> Dict[str, Dict[str, int]]:
+    """Like :func:`cache_counts`, but only the calling thread's work, so
+    a campaign counts itself even while runner threads sharing this
+    process run others."""
+    return {section: _tallies()[section].thread() for section in sections}
 
 
 def cache_delta(before: Dict[str, Dict[str, int]],
@@ -211,8 +218,8 @@ def clear_snapshot_cache() -> None:
 
 def configure_snapshots(maxsize: int) -> int:
     """Re-bound the snapshot cache (clears it); returns the previous
-    bound.  ``maxsize=0`` disables forking entirely -- the bench
-    harness uses that to measure the rebuild-every-run baseline."""
+    bound.  ``maxsize=0`` disables forking entirely: every run builds,
+    which the opcode meter's sweep gate reports as 0 forks."""
     global _SNAPSHOTS
     prev = _SNAPSHOTS.maxsize
     _SNAPSHOTS = SnapshotCache(maxsize=maxsize)

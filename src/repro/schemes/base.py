@@ -140,10 +140,6 @@ class SchemeBase(Component):
 
         self._dc_times = _DCAccessTimes(self.stats)
         self.stats.set_sync(self._dc_times.flush)
-        # The fill/writeback counters stay direct Counter objects: they
-        # fire at page, not line, granularity.
-        self._fills = self.stats.counter("page_fills")
-        self._writebacks = self.stats.counter("page_writebacks")
 
     @property
     def walk_latency(self) -> int:
@@ -273,11 +269,12 @@ class SchemeBase(Component):
     def llc_misses(self) -> int:
         return self.hierarchy.llc_miss_count
 
+    # Without a DRAM cache nothing fills; schemes with one override both.
     def page_fills(self) -> int:
-        return self._fills.value
+        return 0
 
     def page_writebacks(self) -> int:
-        return self._writebacks.value
+        return 0
 
 
 class OSManagedScheme(SchemeBase):

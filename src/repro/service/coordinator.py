@@ -50,9 +50,9 @@ from repro.campaign.executor import (
 from repro.campaign.grid import GridSpec
 from repro.harness.runner import (
     RunConfig,
-    cache_counts,
     cache_delta,
     merge_cache_counts,
+    thread_cache_counts,
 )
 from repro.service.protocol import (
     BrokerClient,
@@ -160,9 +160,9 @@ def run_distributed_campaign(
     # The coordinator simulates nothing: its own cache work is the
     # prescan's memo lookups, and the snapshot and trace counts come
     # from the broker, which sums what the runners reported.
-    memo_before = cache_counts(["memo"])
+    memo_before = thread_cache_counts(["memo"])
     pending = prescan(configs, records, store, skip_caches=observed)
-    counts = cache_delta(memo_before, cache_counts(["memo"]))
+    counts = cache_delta(memo_before, thread_cache_counts(["memo"]))
 
     submitted: List[str] = []
     if pending:

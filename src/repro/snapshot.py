@@ -31,6 +31,8 @@ import json
 from collections import OrderedDict
 from typing import Dict, Optional
 
+from repro.common.stats import CacheTally
+
 # Bump whenever the pickled machine layout changes incompatibly (new
 # component state, changed __reduce__ forms, ...).  Machine.restore
 # refuses blobs stamped with any other version.
@@ -77,28 +79,25 @@ def snapshot_eligible(cfg) -> bool:
 class SnapshotCache:
     """Bounded LRU of ``snapshot_key -> snapshot blob`` with counters.
 
-    ``maxsize=0`` disables the cache (get/put become no-ops), which is
-    how the bench harness measures the pre-snapshot baseline path.
+    ``maxsize=0`` disables the cache (get/put become no-ops), so every
+    run builds, as before snapshots existed.
     Blobs are a couple of MB each, so the default bound is small.
     """
 
     def __init__(self, maxsize: int = 8):
         self.maxsize = maxsize
         self._data: "OrderedDict[str, bytes]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.stores = 0
+        self.counts = CacheTally("hits", "misses", "stores", "evictions")
 
     def get(self, key: str) -> Optional[bytes]:
         if self.maxsize <= 0:
             return None
         blob = self._data.get(key)
         if blob is None:
-            self.misses += 1
+            self.counts.add("misses")
             return None
         self._data.move_to_end(key)
-        self.hits += 1
+        self.counts.add("hits")
         return blob
 
     def put(self, key: str, blob: bytes) -> None:
@@ -106,24 +105,21 @@ class SnapshotCache:
             return
         self._data[key] = blob
         self._data.move_to_end(key)
-        self.stores += 1
+        self.counts.add("stores")
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
-            self.evictions += 1
+            self.counts.add("evictions")
 
     def clear(self) -> None:
         self._data.clear()
-        self.hits = self.misses = self.evictions = self.stores = 0
+        self.counts.clear()
 
     def __len__(self) -> int:
         return len(self._data)
 
     def stats(self) -> Dict[str, int]:
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
+            **self.counts.total,
             "size": len(self._data),
             "maxsize": self.maxsize,
             "bytes": sum(len(b) for b in self._data.values()),

@@ -12,7 +12,9 @@ Public surface:
 
 Zero-cost when off: components carry a ``_tel = None`` class attribute
 and pay one always-false branch per hook site; no Telemetry object, no
-overhead (pinned by ``repro bench --check``).
+other overhead.  Those branches are inside the engine opcode counts
+that ``repro bench`` gates, so a hook that does more work when off
+shows there.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.common.inline_state import InlineState
+from repro.common.stats import CacheTally
 from repro.common.types import PAGE_SIZE
 
 _LINES_PER_PAGE = 64
@@ -216,16 +217,13 @@ class SyntheticWorkload:
 _TRACE_CACHE: "dict[tuple, list]" = {}
 _TRACE_CACHE_MAX = 32
 
-_TRACE_STATS = {
-    "hits": 0,  # LRU hits
-    "misses": 0,  # full generations
-    "evictions": 0,
-}
+# Hits are LRU hits, misses full generations.
+TRACE_COUNTS = CacheTally("hits", "misses", "evictions")
 
 
 def trace_cache_stats() -> dict:
     """Counters and bounds of the trace LRU."""
-    out = dict(_TRACE_STATS)
+    out = dict(TRACE_COUNTS.total)
     out["size"] = len(_TRACE_CACHE)
     out["maxsize"] = _TRACE_CACHE_MAX
     # Always 0: traces are never stored on disk, but the benchmark
@@ -245,13 +243,13 @@ def materialized_trace(spec: WorkloadSpec, seed: int, core_id: int) -> list:
         # LRU touch: move to the back of the insertion order.
         del _TRACE_CACHE[key]
         _TRACE_CACHE[key] = trace
-        _TRACE_STATS["hits"] += 1
+        TRACE_COUNTS.add("hits")
         return trace
     trace = SyntheticWorkload(spec, seed=seed, core_id=core_id).materialize()
-    _TRACE_STATS["misses"] += 1
+    TRACE_COUNTS.add("misses")
     if len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
         del _TRACE_CACHE[next(iter(_TRACE_CACHE))]
-        _TRACE_STATS["evictions"] += 1
+        TRACE_COUNTS.add("evictions")
     _TRACE_CACHE[key] = trace
     return trace
 
@@ -259,5 +257,4 @@ def materialized_trace(spec: WorkloadSpec, seed: int, core_id: int) -> list:
 def clear_trace_cache() -> None:
     """Drop all memoized traces and reset the counters."""
     _TRACE_CACHE.clear()
-    for name in _TRACE_STATS:
-        _TRACE_STATS[name] = 0
+    TRACE_COUNTS.clear()

@@ -327,6 +327,49 @@ def test_distributed_summary_counts_runner_work_once(tmp_path):
     assert (summary.memo["hits"], summary.memo["misses"]) == (0, 4)
 
 
+def test_runner_threads_each_report_only_their_own_cache_work(
+        tmp_path, monkeypatch):
+    # Two runner threads share this process's caches and run their
+    # batches at the same time (the barrier holds each until both have
+    # claimed one).  What each reports must be its own work, so the
+    # reports add up to how far the process totals moved.
+    from repro.harness.runner import (
+        cache_counts, cache_delta, clear_snapshot_cache,
+    )
+    from repro.service import runner as service_runner
+    from repro.workloads.synthetic import clear_trace_cache
+
+    barrier = threading.Barrier(2, timeout=30)
+    execute = service_runner.execute_batch
+
+    def together(*args, **kwargs):
+        barrier.wait()
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(service_runner, "execute_batch", together)
+    clear_snapshot_cache()
+    clear_trace_cache()
+    configs = [BASE.with_(scheme=scheme, seed=s)
+               for scheme in ("tdc", "nomad") for s in (1, 2, 3, 4)]
+    before = cache_counts()
+    store = ResultStore(tmp_path / "store")
+    with BrokerServer(Broker(store.root, lease_s=30.0)) as server:
+        threads = _start_runners(server.url, count=2)
+        campaign = run_distributed_campaign(
+            configs, server.url, store, jobs=2, max_wait_s=120.0,
+            progress=False,
+        )
+        for t in threads:
+            t.join(timeout=30)
+    assert campaign.ok
+    assert not any(t.is_alive() for t in threads)
+    moved = cache_delta(before, cache_counts())
+    # Two batches of one scheme each: a build and three forks apiece.
+    assert (moved["snapshot"]["misses"], moved["snapshot"]["hits"]) == (2, 6)
+    assert moved["trace"]["hits"] + moved["trace"]["misses"] == 16
+    assert campaign.summary.cache_counts() == moved
+
+
 def test_resume_unknown_campaign_fails_loudly(tmp_path):
     store = ResultStore(tmp_path / "store")
     broker = Broker(store.root)

@@ -64,6 +64,20 @@ def test_nomad_result_has_scheme_metrics(tiny_cfg):
     assert r.page_fills > 0
 
 
+@pytest.mark.parametrize("scheme", ["nomad", "tdc", "tid"])
+def test_metrics_have_no_scheme_fill_counters(tiny_cfg, scheme):
+    # Fills are counted where they happen (the front-end, or TiD's line
+    # fills); a scheme-level page_fills/page_writebacks pair would read
+    # 0 next to them.
+    machine = build_machine(scheme, cfg=tiny_cfg, spec=small_spec(),
+                            prewarm=False)
+    result = machine.run()
+    assert result.page_fills > 0
+    assert not [k for k in machine.metrics()
+                if k.startswith("scheme.") and k.endswith(
+                    (".page_fills", ".page_writebacks"))]
+
+
 def test_bytes_by_class_exposed(tiny_cfg):
     r = build_machine("nomad", cfg=tiny_cfg, spec=small_spec(), prewarm=False).run()
     assert "FILL" in r.hbm_bytes_by_class
