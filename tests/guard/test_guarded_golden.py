@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.guard import Guard, GuardConfig
-from repro.harness.runner import RunConfig, clear_cache, run_workload
+from repro.harness.runner import RunConfig, clear_cache, simulate
 from repro.workloads.synthetic import clear_trace_cache
 
 GOLDEN_PATH = (
@@ -38,7 +38,8 @@ def test_guarded_golden_bit_identical_zero_violations(entry):
     clear_trace_cache()
     cfg = RunConfig.from_dict(entry["config"])
     guard = Guard(_GUARD)
-    result = run_workload(cfg, guard=guard)
+    result, machine = simulate(cfg, guard=guard)
     assert guard.violations == 0
     assert guard.checks_run > 0, "guard must actually have swept"
     assert result.to_dict() == entry["expected"]
+    assert machine.metrics() == entry["metrics"]

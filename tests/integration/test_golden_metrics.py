@@ -6,7 +6,8 @@ may change the simulated event stream.  These tests pin that invariant:
 
 * every entry in ``tests/golden/golden_metrics.json`` must reproduce its
   recorded :class:`MachineResult` *exactly* (``to_dict`` equality, no
-  tolerances), and
+  tolerances) and its full ``Machine.metrics()`` counter set (every key
+  and value), and
 * two fresh interpreter processes given the same seed must emit
   byte-identical JSON (guards against accidental dependence on hash
   randomization, set ordering, or interpreter state).
@@ -30,6 +31,7 @@ from repro.harness.runner import (
     clear_cache,
     clear_snapshot_cache,
     run_workload,
+    simulate,
 )
 from repro.workloads.synthetic import clear_trace_cache
 
@@ -53,8 +55,9 @@ def test_golden_entry_bit_identical(entry):
     clear_trace_cache()
     clear_snapshot_cache()
     cfg = RunConfig.from_dict(entry["config"])
-    result = run_workload(cfg)
+    result, machine = simulate(cfg)
     assert result.to_dict() == entry["expected"]
+    assert machine.metrics() == entry["metrics"]
 
 
 # Schemes the snapshot cache forks (see repro.snapshot: baseline/ideal
@@ -81,9 +84,10 @@ def test_golden_entry_forked_bit_identical(entry):
     # build key, then run the golden config: it must take the fork path.
     run_workload(cfg.with_(seed=cfg.seed + 1))
     assert cache_stats()["snapshot"]["stores"] == 1
-    result = run_workload(cfg)
+    result, machine = simulate(cfg)
     assert cache_stats()["snapshot"]["hits"] == 1
     assert result.to_dict() == entry["expected"]
+    assert machine.metrics() == entry["metrics"]
     clear_snapshot_cache()
 
 

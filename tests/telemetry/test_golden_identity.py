@@ -37,8 +37,9 @@ def test_telemetry_golden_bit_identical(entry):
     clear_trace_cache()
     cfg = RunConfig.from_dict(entry["config"])
     tel = Telemetry(_TEL)
-    result, _machine = simulate(cfg, telemetry=tel)
+    result, machine = simulate(cfg, telemetry=tel)
     assert result.to_dict() == entry["expected"]
+    assert machine.metrics() == entry["metrics"]
     # The observation itself must have happened.
     assert tel.sampler.samples
     assert tel.summary is not None
