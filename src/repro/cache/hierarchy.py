@@ -56,13 +56,8 @@ class CacheHierarchy(Component):
         self.miss_handler = miss_handler
         self.writeback_handler = writeback_handler
         self.response_latency = cfg.l1.latency  # fill-to-use return path
-        # Hot-path counters are plain ints, flushed into the StatGroup
-        # whenever it is read (see StatGroup.set_sync).
         self.llc_miss_count = 0
         self.llc_access_count = 0
-        self.stats.counter("llc_misses")
-        self.stats.counter("llc_accesses")
-        self.stats.set_sync(self._sync_stats)
         # Composed hit latencies per level (Table II), bound once.
         self._l1_latency = cfg.l1.latency
         self._l2_latency = cfg.l1.latency + cfg.l2.latency
@@ -71,9 +66,9 @@ class CacheHierarchy(Component):
         self._pending_dirty: set = set()
         self._schedule_at = sim.schedule_at
 
-    def _sync_stats(self) -> None:
-        self.stats._stats["llc_misses"].value = self.llc_miss_count
-        self.stats._stats["llc_accesses"].value = self.llc_access_count
+    def metrics(self) -> dict:
+        return {"llc_misses": self.llc_miss_count,
+                "llc_accesses": self.llc_access_count}
 
     def guard_state(self) -> dict:
         return {

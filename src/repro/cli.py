@@ -781,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "cycles (default 5000; 0 = off)")
     p_run.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="dump the full flat component-metrics JSON "
-                            "(every StatGroup counter) to PATH")
+                            "(every component counter) to PATH")
     add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 

@@ -2,11 +2,10 @@
 
 from repro.common.bitvector import BitVector
 from repro.common.stats import (
-    BandwidthMeter,
-    Counter,
-    Histogram,
-    RunningMean,
-    StatGroup,
+    Mean,
+    histogram_stats,
+    mean_stats,
+    percentile,
 )
 from repro.common.types import (
     CACHE_LINE_SIZE,
@@ -22,20 +21,19 @@ from repro.common.types import (
 )
 
 __all__ = [
-    "BandwidthMeter",
     "BitVector",
     "CACHE_LINE_SIZE",
-    "Counter",
-    "Histogram",
+    "Mean",
     "MemAccess",
     "PAGE_SIZE",
-    "RunningMean",
-    "StatGroup",
     "SUB_BLOCK_SIZE",
     "SUB_BLOCKS_PER_PAGE",
     "TrafficClass",
+    "histogram_stats",
     "line_of",
+    "mean_stats",
     "page_offset",
+    "percentile",
     "sub_block_of",
     "vpn_of",
 ]

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
+from repro.common.stats import Mean, mean_stats
 from repro.common.types import (
     PAGE_SIZE,
     SUB_BLOCKS_PER_PAGE,
@@ -76,14 +77,14 @@ class Backend(Component, DataManager):
         self.buffers = PageCopyBufferPool(sim, m)
         self._cmd_waiters: deque = deque()
 
-        self._fill_cmds = self.stats.counter("fill_commands")
-        self._wb_cmds = self.stats.counter("writeback_commands")
-        self._cmd_wait = self.stats.mean("command_wait")
-        self._data_hits = self.stats.counter("data_hits")
-        self._data_misses = self.stats.counter("data_misses")
-        self._buffer_hits = self.stats.counter("buffer_hits")
-        self._buffer_write_merges = self.stats.counter("buffer_write_merges")
-        self._sub_entry_waits = self.stats.counter("sub_entry_waits")
+        self.fill_commands = 0
+        self.writeback_commands = 0
+        self.command_wait = Mean()
+        self.data_hits = 0
+        self.data_misses = 0
+        self.buffer_hits = 0
+        self.buffer_write_merges = 0
+        self.sub_entry_waits = 0
 
     # ------------------------------------------------------------------
     # DataManager interface (commands from the front-end)
@@ -142,7 +143,7 @@ class Backend(Component, DataManager):
             if not self._free or cfn in self._by_cfn:
                 return
             self._cmd_waiters.popleft()
-            self._cmd_wait.add(self.sim.now - arrival)
+            self.command_wait.add(self.sim.now - arrival)
             self._allocate(cmd_type, pfn, cfn, sub)
             accepted()
 
@@ -153,9 +154,9 @@ class Backend(Component, DataManager):
         pcshr.allocate(cmd_type, pfn, cfn, sub, self.sim.now)
         self._by_cfn[cfn] = pcshr
         if cmd_type == CommandType.CACHE_FILL:
-            self._fill_cmds.inc()
+            self.fill_commands += 1
         else:
-            self._wb_cmds.inc()
+            self.writeback_commands += 1
         if self._tel is not None:
             self._tel.copy_begin(
                 (self.name, pcshr.index),
@@ -230,7 +231,7 @@ class Backend(Component, DataManager):
         return self._by_cfn.get(cfn)
 
     def note_data_hit(self) -> None:
-        self._data_hits.inc()
+        self.data_hits += 1
 
     def read_data_miss(
         self, pcshr: PCSHR, sub: int, done: Callable[[int], None]
@@ -242,7 +243,7 @@ class Backend(Component, DataManager):
         otherwise it parks in a sub-entry until the sub-block arrives.
         """
         now = self.sim.now
-        self._data_misses.inc()
+        self.data_misses += 1
         if not self.cfg.serve_from_copy_buffer:
             # Ablation: always wait for the full copy, then read the DC.
             pcshr.add_sub_entry(sub, id(done))
@@ -258,12 +259,12 @@ class Backend(Component, DataManager):
             pcshr.complete_waiters.append(_read_from_dc)
             return
         if pcshr.sub_block_in_buffer(sub, now):
-            self._buffer_hits.inc()
+            self.buffer_hits += 1
             ready = now + self.cfg.copy_buffer_latency
             self.sim.schedule_at(ready, _at_time(done, ready))
             return
         # Park in a sub-entry until the data arrive.
-        self._sub_entry_waits.inc()
+        self.sub_entry_waits += 1
         pcshr.add_sub_entry(sub, id(done))
         arrival = pcshr.buffer_ready_time(sub)
         if arrival is None:
@@ -279,8 +280,8 @@ class Backend(Component, DataManager):
         Returns the completion time (writes complete immediately in the
         buffer; the drain carries the merged data to the destination).
         """
-        self._data_misses.inc()
-        self._buffer_write_merges.inc()
+        self.data_misses += 1
+        self.buffer_write_merges += 1
         pcshr.record_cpu_write(sub)
         return self.sim.now + self.cfg.copy_buffer_latency
 
@@ -289,9 +290,22 @@ class Backend(Component, DataManager):
     def buffer_hit_ratio(self) -> float:
         """Fraction of data misses served directly by page copy buffers
         (read hits in the buffer plus write merges into it)."""
-        served = self._buffer_hits.value + self._buffer_write_merges.value
-        total = served + self._sub_entry_waits.value
+        served = self.buffer_hits + self.buffer_write_merges
+        total = served + self.sub_entry_waits
         return served / total if total else 0.0
+
+    def metrics(self) -> dict:
+        wait = self.command_wait
+        return {
+            "fill_commands": self.fill_commands,
+            "writeback_commands": self.writeback_commands,
+            **mean_stats("command_wait", wait.count, wait.total, wait.max),
+            "data_hits": self.data_hits,
+            "data_misses": self.data_misses,
+            "buffer_hits": self.buffer_hits,
+            "buffer_write_merges": self.buffer_write_merges,
+            "sub_entry_waits": self.sub_entry_waits,
+        }
 
     @property
     def outstanding_copies(self) -> int:

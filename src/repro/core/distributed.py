@@ -78,16 +78,13 @@ class DistributedBackend(DataManager):
     # -- reporting ----------------------------------------------------------
 
     def buffer_hit_ratio(self) -> float:
-        served = sum(
-            b.stats.get("buffer_hits").value
-            + b.stats.get("buffer_write_merges").value
-            for b in self.backends
-        )
-        waits = sum(b.stats.get("sub_entry_waits").value for b in self.backends)
+        served = sum(b.buffer_hits + b.buffer_write_merges
+                     for b in self.backends)
+        waits = sum(b.sub_entry_waits for b in self.backends)
         total = served + waits
         return served / total if total else 0.0
 
     def command_wait_mean(self) -> float:
-        total = sum(b.stats.get("command_wait").total for b in self.backends)
-        count = sum(b.stats.get("command_wait").count for b in self.backends)
+        total = sum(b.command_wait.total for b in self.backends)
+        count = sum(b.command_wait.count for b in self.backends)
         return total / count if count else 0.0

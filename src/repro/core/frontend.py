@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.common.inline_state import InlineState
+from repro.common.stats import Mean, mean_stats
 from repro.common.types import DC_SPACE_BIT, TrafficClass, sub_block_of
 from repro.config.system import SystemConfig
 from repro.core.free_queue import FreeQueue
@@ -69,6 +70,23 @@ class DataManager(InlineState):
     def frame_busy(self, cfn: int) -> bool:
         """True while a fill for ``cfn`` is still in flight."""
         return False
+
+
+class EvictionCounters:
+    """The eviction daemon's counters, one slot per ``metrics()`` key.
+
+    Kept off the front-end itself so its attributes stay within
+    CPython's inline-attribute limit (see ``repro.common.inline_state``)
+    also when the telemetry hook is armed.
+    """
+
+    __slots__ = ("evictions", "writeback_commands", "eviction_tlb_skips",
+                 "eviction_busy_skips", "forced_shootdowns",
+                 "flushed_dirty_lines")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
 
 class FrontEnd(Component):
@@ -123,15 +141,10 @@ class FrontEnd(Component):
         self._evict_remaining = 0
         self._batch_freed = 0
 
-        self._tag_latency = self.stats.mean("tag_mgmt_latency")
-        self._fills = self.stats.counter("fills")
-        self._evictions = self.stats.counter("evictions")
-        self._wb_cmds = self.stats.counter("writeback_commands")
-        self._tlb_skips = self.stats.counter("eviction_tlb_skips")
-        # Rare events: counted through the group, not kept as attributes.
-        for name in ("eviction_busy_skips", "forced_shootdowns",
-                     "flushed_dirty_lines"):
-            self.stats.counter(name)
+        #: Tag-management latency of every timed fill; its count is the
+        #: number of fills.
+        self.tag_latency = Mean()
+        self.counts = EvictionCounters()
 
     # ------------------------------------------------------------------
     # DC tag miss handler (Algorithm 1)
@@ -189,8 +202,7 @@ class FrontEnd(Component):
         def _offloaded(cfn: int) -> None:
             self._commit_tags(frame_of(page_table.word(vpn)), cfn)
             self.filling_frames -= 1
-            self._tag_latency.add(self.sim.now - t0)
-            self._fills.inc()
+            self.tag_latency.add(self.sim.now - t0)
             if self.mutex is not None:
                 self.mutex.release()
             self._trigger_daemon()
@@ -294,9 +306,9 @@ class FrontEnd(Component):
                 fq.advance_tail()
                 continue
             if directory[tail]:
-                self._tlb_skips.inc()
+                self.counts.eviction_tlb_skips += 1
             elif self.data_manager.frame_busy(tail):
-                self.stats.counter("eviction_busy_skips").inc()
+                self.counts.eviction_busy_skips += 1
             else:
                 break
             fq.advance_tail()
@@ -317,7 +329,7 @@ class FrontEnd(Component):
                     self.hbm.access(
                         line_addr & ~DC_SPACE_BIT, True, TrafficClass.WRITEBACK
                     )
-                    self.stats.counter("flushed_dirty_lines").inc()
+                    self.counts.flushed_dirty_lines += 1
                     dirty = True
         else:
             # Ideal mode: SRAM lines stay valid; just point them back at
@@ -326,9 +338,9 @@ class FrontEnd(Component):
                 self.hierarchy.retarget_page(map_core, map_vpn, pfn * 4096)
         self._release_frame(cfn)
         self._batch_freed += 1
-        self._evictions.inc()
+        self.counts.evictions += 1
         if dirty:
-            self._wb_cmds.inc()
+            self.counts.writeback_commands += 1
             self.data_manager.writeback(
                 cfn, pfn, on_offloaded=lambda: self.sim.schedule(cost, cont)
             )
@@ -376,7 +388,7 @@ class FrontEnd(Component):
                 for map_core, map_vpn in self.tables.reverse_map(cpds.pfn[tail]):
                     if self._tlbs is not None:
                         self._tlbs[map_core].invalidate(map_vpn)
-                self.stats.counter("forced_shootdowns").inc()
+                self.counts.forced_shootdowns += 1
                 cfn = fq.advance_tail()
                 self._evict_frame(cfn, TLB_SHOOTDOWN_COST, lambda: None)
                 return
@@ -385,6 +397,15 @@ class FrontEnd(Component):
     def attach_tlbs(self, tlbs) -> None:
         """Give the front-end shootdown access to the per-core TLBs."""
         self._tlbs = tlbs
+
+    def metrics(self) -> dict:
+        lat = self.tag_latency
+        counts = self.counts
+        return {
+            **mean_stats("tag_mgmt_latency", lat.count, lat.total, lat.max),
+            "fills": lat.count,
+            **{name: getattr(counts, name) for name in counts.__slots__},
+        }
 
     def guard_state(self) -> dict:
         fq = self.free_queue

@@ -64,7 +64,7 @@ class NomadScheme(OSManagedScheme):
             assume_all_dirty=not nomad_cfg.dirty_in_cache_bits,
         )
         self.frontend.attach_tlbs(self.tlbs)
-        self._data_hits_fast = self.stats.counter("uncached_accesses")
+        self.uncached_accesses = 0
         # dc_access bindings: one probe per LLC miss.
         self._probe = self.backend.probe
         self._pcshr_lookup = nomad_cfg.pcshr_lookup_latency
@@ -78,7 +78,7 @@ class NomadScheme(OSManagedScheme):
         paddr = access.paddr if access.paddr is not None else access.addr
         if not is_dc_addr(paddr):
             # Uncached page: behaves like the conventional memory system.
-            self._data_hits_fast.inc()
+            self.uncached_accesses += 1
             self._ddr_access(
                 paddr, access.is_write, _DEMAND,
                 lambda: fill_cb(self.sim.now),
@@ -134,6 +134,10 @@ class NomadScheme(OSManagedScheme):
             self.hbm.access(hbm_addr, True, TrafficClass.DEMAND)
 
     # -- reporting -----------------------------------------------------------
+
+    def metrics(self) -> dict:
+        return {**super().metrics(),
+                "uncached_accesses": self.uncached_accesses}
 
     def buffer_hit_ratio(self) -> float:
         return self.backend.buffer_hit_ratio()

@@ -9,17 +9,17 @@ effect behind the paper's Excess/Tight/Loose/Few RMHB classes.
 Service times are computed at issue (first-come-first-served with
 open-page row-buffer state) by :meth:`DRAMDevice.transfer
 <repro.dram.device.DRAMDevice.transfer>`, which owns the arithmetic and
-updates this object's plain int counters; they are flushed into the
-:class:`StatGroup` only when it is read (see :meth:`StatGroup.set_sync`).
-FR-FCFS reordering is approximated: sequential streams (page copies,
-line fills) arrive in row order and therefore still enjoy the row-buffer
-hits an FR-FCFS scheduler would create.
+updates this object's plain int counters, which :meth:`metrics`
+reports.  FR-FCFS reordering is approximated: sequential streams (page
+copies, line fills) arrive in row order and therefore still enjoy the
+row-buffer hits an FR-FCFS scheduler would create.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.common.stats import mean_stats
 from repro.common.types import TrafficClass
 from repro.dram.bank import Bank
 from repro.engine.simulator import Component, Simulator
@@ -32,7 +32,7 @@ class ChannelController(Component):
         super().__init__(sim, name)
         self.banks = [Bank() for _ in range(num_banks)]
         self.bus_free_at = 0
-        # Hot-path counters (flushed lazily into self.stats).
+        # Hot-path counters, bumped by DRAMDevice.transfer.
         self.row_hits = 0
         self.row_closed = 0
         self.row_conflicts = 0
@@ -41,32 +41,21 @@ class ChannelController(Component):
         self.bytes_by_class: Dict[TrafficClass, int] = {}
         self._lat_count = 0
         self._lat_total = 0
-        self._lat_min: Optional[int] = None
         self._lat_max: Optional[int] = None
-        self.stats.counter("row_hits")
-        self.stats.counter("row_closed")
-        self.stats.counter("row_conflicts")
-        self.stats.counter("reads")
-        self.stats.counter("writes")
-        self.stats.bandwidth("bytes")
-        self.stats.mean("burst_latency")
-        self.stats.set_sync(self._sync_stats)
 
-    def _sync_stats(self) -> None:
-        stats = self.stats._stats
-        stats["row_hits"].value = self.row_hits
-        stats["row_closed"].value = self.row_closed
-        stats["row_conflicts"].value = self.row_conflicts
-        stats["reads"].value = self.reads
-        stats["writes"].value = self.writes
-        bw = stats["bytes"]
-        for tc, b in self.bytes_by_class.items():
-            bw.bytes_by_class[tc] = b
-        lat = stats["burst_latency"]
-        lat.count = self._lat_count
-        lat.total = self._lat_total
-        lat.min = self._lat_min
-        lat.max = self._lat_max
+    def metrics(self) -> dict:
+        by_class = self.bytes_by_class
+        return {
+            "row_hits": self.row_hits,
+            "row_closed": self.row_closed,
+            "row_conflicts": self.row_conflicts,
+            "reads": self.reads,
+            "writes": self.writes,
+            "bytes.total_bytes": sum(by_class.values()),
+            **{f"bytes.{tc.name}": b for tc, b in by_class.items()},
+            **mean_stats("burst_latency", self._lat_count, self._lat_total,
+                         self._lat_max),
+        }
 
     @property
     def row_hit_rate(self) -> float:

@@ -44,11 +44,9 @@ class DRAMDevice(Component):
         )
         self._schedule_at = sim.schedule_at
         self.access_count = 0
-        self.stats.counter("accesses")
-        self.stats.set_sync(self._sync_stats)
 
-    def _sync_stats(self) -> None:
-        self.stats._stats["accesses"].value = self.access_count
+    def metrics(self) -> dict:
+        return {"accesses": self.access_count}
 
     def guard_state(self) -> dict:
         return {
@@ -141,9 +139,6 @@ class DRAMDevice(Component):
             latency = end - now
             ch._lat_count += 1
             ch._lat_total += latency
-            lat_min = ch._lat_min
-            if lat_min is None or latency < lat_min:
-                ch._lat_min = latency
             lat_max = ch._lat_max
             if lat_max is None or latency > lat_max:
                 ch._lat_max = latency

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.inline_state import InlineState
-from repro.common.stats import StatGroup
 from repro.engine.event_queue import Event, EventQueue
 
 
@@ -111,15 +110,14 @@ class Simulator(InlineState):
 class Component(InlineState):
     """Base class for simulated hardware/OS components.
 
-    Provides the owning simulator, a :class:`StatGroup`, and scheduling
-    sugar.  Subclasses register themselves so the harness can walk the
-    component tree when collecting statistics.
+    Provides the owning simulator and scheduling sugar.  Subclasses
+    register themselves so the harness can walk the component tree when
+    collecting statistics (:meth:`metrics`).
     """
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        self.stats = StatGroup(name)
         sim.register(self)
 
     @property
@@ -128,6 +126,14 @@ class Component(InlineState):
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
         return self.sim.schedule(delay, callback)
+
+    def metrics(self) -> Dict[str, object]:
+        """This component's counters as a flat ``{stat: value}`` dict,
+        built from its live plain-int counters when called, so a read
+        (mid-run included) changes nothing.  Components that count
+        override this; ``Machine.metrics`` prefixes every key with the
+        component's name."""
+        return {}
 
     def guard_state(self) -> dict:
         """Flat snapshot of diagnostic state for stall reports and crash

@@ -59,7 +59,7 @@ def write_bundle(guard: Guard, exc: BaseException, machine) -> Path:
     if sim is not None:
         for component in sim.components:
             state = component.guard_state()
-            stats = component.stats.as_dict()
+            stats = component.metrics()
             if state or stats:
                 components[component.name] = {"state": state, "stats": stats}
 

@@ -22,9 +22,10 @@ addresses in off-package DDR.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.cache.hierarchy import CacheHierarchy
+from repro.common.stats import Mean, histogram_stats, mean_stats, percentile
 from repro.common.types import DC_SPACE_BIT, MemAccess, PAGE_SIZE, TrafficClass
 from repro.config.system import SystemConfig
 from repro.dram.device import DRAMDevice
@@ -72,40 +73,17 @@ class _TLBHook:
         self.scheme, self.core_id, self.installed = state
 
 
-class _DCAccessTimes:
-    """Plain-int DC access-time totals and the stats they flush into.
+class _DCAccessTimes(Mean):
+    """DC access times: a running mean plus a ``{bucket: samples}``
+    histogram over power-of-two buckets (see
+    :func:`~repro.common.stats.percentile`), both filled by
+    ``SchemeBase._record_dc_access`` once per LLC miss."""
 
-    ``SchemeBase._record_dc_access`` runs once per LLC miss, so it adds
-    to these slots, and :meth:`flush` (the scheme's ``set_sync`` hook)
-    overwrites the StatGroup objects with the totals on read (see the
-    stats module docstring).
-    """
+    __slots__ = ("buckets",)
 
-    __slots__ = ("count", "total", "min", "max", "buckets",
-                 "mean_stat", "hist_stat", "reads_stat")
-
-    def __init__(self, stats):
-        self.mean_stat = stats.mean("dc_access_time")
-        self.hist_stat = stats.histogram("dc_access_time_hist")
-        self.reads_stat = stats.counter("dc_reads")
-        self.count = 0
-        self.total = 0
-        self.min: Optional[int] = None
-        self.max: Optional[int] = None
+    def __init__(self):
+        super().__init__()
         self.buckets: dict = {}
-
-    def flush(self) -> None:
-        self.reads_stat.value = self.count
-        mean = self.mean_stat
-        mean.count = self.count
-        mean.total = self.total
-        mean.min = self.min
-        mean.max = self.max
-        hist = self.hist_stat
-        hist.count = self.count
-        hist.total = self.total
-        hist.buckets.clear()
-        hist.buckets.update(self.buckets)
 
 
 class SchemeBase(Component):
@@ -138,8 +116,7 @@ class SchemeBase(Component):
         ]
         self.hierarchy = CacheHierarchy(sim, cfg, self.dc_access, self.dc_writeback)
 
-        self._dc_times = _DCAccessTimes(self.stats)
-        self.stats.set_sync(self._dc_times.flush)
+        self._dc_times = _DCAccessTimes()
 
     @property
     def walk_latency(self) -> int:
@@ -216,13 +193,9 @@ class SchemeBase(Component):
         times = self._dc_times
         times.count += 1
         times.total += lat
-        mn = times.min
-        if mn is None or lat < mn:
-            times.min = lat
         mx = times.max
         if mx is None or lat > mx:
             times.max = lat
-        # Same power-of-two bucketing as Histogram._bucket.
         bucket = (1 << (lat.bit_length() - 1)) if lat > 0 else 0
         buckets = times.buckets
         buckets[bucket] = buckets.get(bucket, 0) + 1
@@ -252,9 +225,18 @@ class SchemeBase(Component):
         """Bytes of fill the workload demanded (RMHB numerator)."""
         return self.page_fills() * PAGE_SIZE
 
-    def dc_access_time_mean(self) -> float:
+    def metrics(self) -> dict:
         times = self._dc_times
-        return times.total / times.count if times.count else 0.0
+        return {
+            **mean_stats("dc_access_time", times.count, times.total,
+                         times.max),
+            **histogram_stats("dc_access_time_hist", times.buckets,
+                              times.total),
+            "dc_reads": times.count,
+        }
+
+    def dc_access_time_mean(self) -> float:
+        return self._dc_times.mean
 
     def dc_access_time_percentile(self, p: float) -> int:
         """Approximate percentile of DC access time (power-of-two buckets).
@@ -263,8 +245,7 @@ class SchemeBase(Component):
         blocking scheme's mean hides multi-thousand-cycle outliers that
         the p99 exposes.
         """
-        self._dc_times.flush()
-        return self._dc_times.hist_stat.percentile(p)
+        return percentile(self._dc_times.buckets, p)
 
     def llc_misses(self) -> int:
         return self.hierarchy.llc_miss_count
@@ -316,10 +297,10 @@ class OSManagedScheme(SchemeBase):
         self.frontend.warm_fills(pages)
 
     def tag_mgmt_latency_mean(self) -> float:
-        return self.frontend.stats.get("tag_mgmt_latency").mean
+        return self.frontend.tag_latency.mean
 
     def page_fills(self) -> int:
-        return self.frontend.stats.get("fills").value
+        return self.frontend.tag_latency.count
 
     def page_writebacks(self) -> int:
-        return self.frontend.stats.get("writeback_commands").value
+        return self.frontend.counts.writeback_commands

@@ -136,12 +136,12 @@ class TiDScheme(SchemeBase):
         self._sub_per_line = tid_cfg.line_size // 64
         self._line_shift = tid_cfg.line_size.bit_length() - 1
 
-        self._tag_reads = self.stats.counter("tag_reads")
-        self._tag_updates = self.stats.counter("tag_updates")
-        self._dc_hits = self.stats.counter("dc_hits")
-        self._dc_misses = self.stats.counter("dc_misses")
-        self._line_fills = self.stats.counter("line_fills")
-        self._line_writebacks = self.stats.counter("line_writebacks")
+        self.tag_reads = 0
+        self.tag_updates = 0
+        self.dc_hits = 0
+        self.dc_misses = 0
+        self.line_fills = 0
+        self.line_writebacks = 0
 
     # -- address helpers ----------------------------------------------------
 
@@ -169,14 +169,14 @@ class TiDScheme(SchemeBase):
         start = self.sim.now
         paddr = access.paddr if access.paddr is not None else access.addr
         line_id = self._line_id(paddr)
-        self._tag_reads.inc()
+        self.tag_reads += 1
         tag_done = self.hbm.access(
             self._hbm_tag_addr(line_id), False, TrafficClass.METADATA
         )
         rec = self.tags.lookup(line_id)
         if rec is not None and line_id not in self._active:
             # DC hit: the data burst follows the tag in the open row.
-            self._dc_hits.inc()
+            self.dc_hits += 1
             if access.is_write:
                 self.tags.mark_dirty(line_id)
             data_addr = self._hbm_line_base(line_id, rec >> 1) + (
@@ -210,7 +210,7 @@ class TiDScheme(SchemeBase):
         rec = self.tags.lookup(line_id)
         if rec is not None and line_id not in self._active:
             # The line landed while the tag read was in flight: serve it.
-            self._dc_hits.inc()
+            self.dc_hits += 1
             if access.is_write:
                 self.tags.mark_dirty(line_id)
 
@@ -228,7 +228,7 @@ class TiDScheme(SchemeBase):
             return
 
         # DC miss (or the line is still being filled): go through MSHRs.
-        self._dc_misses.inc()
+        self.dc_misses += 1
         waiter = self._make_waiter(start, fill_cb)
         if line_id in self._active:
             self._attach_waiter(self._active[line_id], sub, waiter)
@@ -264,7 +264,7 @@ class TiDScheme(SchemeBase):
     # -- miss handling ---------------------------------------------------------
 
     def _start_fill(self, line_id: int, demanded_sub: int, is_write: bool) -> None:
-        self._line_fills.inc()
+        self.line_fills += 1
         way, victim = self.tags.allocate(line_id)
         if is_write:
             self.tags.mark_dirty(line_id)
@@ -319,7 +319,7 @@ class TiDScheme(SchemeBase):
 
     def _writeback_line(self, line_id: int, way: int) -> None:
         """Dirty victim: read 1 KB out of the DC, write it off-package."""
-        self._line_writebacks.inc()
+        self.line_writebacks += 1
         subs = range(self._sub_per_line)
         arrivals = self.hbm.transfer(
             self._hbm_line_base(line_id, way), subs, False,
@@ -334,7 +334,7 @@ class TiDScheme(SchemeBase):
 
     def _touch_metadata(self, line_id: int) -> None:
         """LRU/dirty/tag update burst (fire-and-forget bandwidth)."""
-        self._tag_updates.inc()
+        self.tag_updates += 1
         self.hbm.access(self._hbm_tag_addr(line_id), True, TrafficClass.METADATA)
 
     # -- LLC writebacks ----------------------------------------------------------
@@ -366,18 +366,29 @@ class TiDScheme(SchemeBase):
 
     # -- reporting ----------------------------------------------------------------
 
+    def metrics(self) -> dict:
+        return {
+            **super().metrics(),
+            "tag_reads": self.tag_reads,
+            "tag_updates": self.tag_updates,
+            "dc_hits": self.dc_hits,
+            "dc_misses": self.dc_misses,
+            "line_fills": self.line_fills,
+            "line_writebacks": self.line_writebacks,
+        }
+
     def fill_bytes(self) -> int:
-        return self._line_fills.value * self.tid_cfg.line_size
+        return self.line_fills * self.tid_cfg.line_size
 
     def page_fills(self) -> int:
-        return self._line_fills.value
+        return self.line_fills
 
     def page_writebacks(self) -> int:
-        return self._line_writebacks.value
+        return self.line_writebacks
 
     def dc_hit_rate(self) -> float:
-        total = self._dc_hits.value + self._dc_misses.value
-        return self._dc_hits.value / total if total else 0.0
+        total = self.dc_hits + self.dc_misses
+        return self.dc_hits / total if total else 0.0
 
 
 def _fire_at(waiter: Callable[[int], None], t: int):

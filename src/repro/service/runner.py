@@ -12,11 +12,12 @@ Liveness is heartbeats: while a batch runs, a timer thread renews the
 runner's leases every third of the lease period (so a single run longer
 than the lease cannot get the batch requeued mid-run), and campaign
 ``progress`` events are additionally forwarded as telemetry heartbeats
-(throughput, snapshot/trace cache hit deltas, recent overlap
-fractions).  A runner that dies mid-batch simply stops
-heartbeating; the broker expires the lease and requeues the batch
-elsewhere.  All broker I/O retries with the shared jittered-exponential
-:class:`~repro.campaign.pool.Backoff` before giving up.
+(throughput, the snapshot/trace cache work of this runner's own thread
+since its loop began, recent overlap fractions).  A runner that dies
+mid-batch simply stops heartbeating; the broker expires the lease and
+requeues the batch elsewhere.  All broker I/O retries with the shared
+jittered-exponential :class:`~repro.campaign.pool.Backoff` before
+giving up.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.campaign.executor import run_campaign
-from repro.harness.runner import cache_counts
+from repro.harness.runner import cache_delta, thread_cache_counts
 from repro.service.protocol import (
     BrokerClient,
     BrokerUnreachable,
@@ -116,6 +117,15 @@ def runner_loop(
     idle_since: Optional[float] = None
     unreachable_since: Optional[float] = None
     stop = stop or threading.Event()
+    # Heartbeats carry this thread's own cache work since the loop
+    # began: runner threads sharing one process each report only theirs.
+    # The lease-renewal thread sends the last counts this thread took.
+    loop_start = thread_cache_counts()
+    own_counts = [cache_delta(loop_start, loop_start)]
+
+    def _own_cache_counts() -> dict:
+        own_counts[0] = cache_delta(loop_start, thread_cache_counts())
+        return own_counts[0]
 
     def _say(msg: str) -> None:
         if verbose:
@@ -202,7 +212,7 @@ def runner_loop(
                     last_progress.update(info)
                     hb.observe(completed=info.get("completed", 0))
                     client.heartbeat(rid, make_heartbeat(
-                        rid, info, cache_counts(), hb,
+                        rid, info, _own_cache_counts(), hb,
                         obs_counters=_obs_counters(),
                     ))
 
@@ -217,7 +227,7 @@ def runner_loop(
                     interval = max(0.1, lease_s / 3.0)
                     while not stop_renewal.wait(interval):
                         client.heartbeat(rid, make_heartbeat(
-                            rid, dict(last_progress), cache_counts(), hb,
+                            rid, dict(last_progress), own_counts[0], hb,
                             obs_counters=_obs_counters(),
                         ))
 

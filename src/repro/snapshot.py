@@ -35,8 +35,9 @@ from repro.common.stats import CacheTally
 
 # Bump whenever the pickled machine layout changes incompatibly (new
 # component state, changed __reduce__ forms, ...).  Machine.restore
-# refuses blobs stamped with any other version.
-SNAPSHOT_VERSION = 4
+# refuses blobs stamped with any other version.  Version 5: components
+# carry plain-int counters, no stat objects.
+SNAPSHOT_VERSION = 5
 
 # RunConfig fields that only affect the ROI (the run itself), not the
 # built+prewarmed machine state.  Everything else is build-affecting and

@@ -131,30 +131,15 @@ class Machine(InlineState):
 
     # -- snapshot / fork ---------------------------------------------------
 
-    def _sync_all_stats(self, swallow: bool = False) -> None:
-        """Flush every component's set_sync counters into its StatGroup.
-
-        ``swallow=True`` is for exception paths: a half-updated
-        component's sync hook may itself raise, and that must not mask
-        the original failure (the bundle still gets the other groups).
-        """
-        for component in self.sim.components:
-            try:
-                component.stats.sync()
-            except Exception:
-                if not swallow:
-                    raise
-
     def snapshot(self) -> bytes:
         """Serialize the built+prewarmed machine for later forking.
 
         Must be taken at the build+prewarm boundary: prewarm is
         functional, so the event queue is empty and no scheduled closure
-        needs to survive pickling.  Counters are ``sync()``-flushed
-        first so the captured state carries exact totals.  The blob
-        excludes the traces (cores drop them, see ``Core.__getstate__``);
-        :meth:`restore` re-materializes them from the recorded specs,
-        which is what lets one snapshot serve every (seed, num_mem_ops).
+        needs to survive pickling.  The blob excludes the traces (cores
+        drop them, see ``Core.__getstate__``); :meth:`restore`
+        re-materializes them from the recorded specs, which is what lets
+        one snapshot serve every (seed, num_mem_ops).
 
         Pickling reads every object's instance ``__dict__``, which on
         CPython 3.11+ leaves *this* machine on the slow attribute path
@@ -177,7 +162,6 @@ class Machine(InlineState):
                 f"(events_processed={self.sim.events_processed}, "
                 f"pending={self.sim.pending_events})"
             )
-        self._sync_all_stats()
         payload = {
             "version": SNAPSHOT_VERSION,
             "machine": self,
@@ -309,10 +293,6 @@ class Machine(InlineState):
                     guard_obj.events_at_failure = self.sim.events_processed
                     if tel_obj is not None:
                         guard_obj.telemetry_window = tel_obj.last_window()
-                    # Flush set_sync counters first: the bundle's
-                    # component dumps (and their replay) must see exact
-                    # totals, not values stale since the last read.
-                    self._sync_all_stats(swallow=True)
                     bundle_path = guard_obj.write_bundle(exc)
                     if bundle_path is not None:
                         try:
@@ -322,16 +302,13 @@ class Machine(InlineState):
                 raise
         finally:
             # Exception-safe teardown: whatever killed the run, gc comes
-            # back on, the guard hooks detach, and the plain-int counter
-            # flush still happens so no caller ever observes stale
-            # StatGroup values.
+            # back on and the guard and telemetry hooks detach.
             if was_enabled:
                 gc.enable()
             if guard_obj is not None:
                 self.sim.attach_guard(None)
             if tel_obj is not None:
                 tel_obj.uninstall()
-            self._sync_all_stats(swallow=True)
         result = self.result()
         if tel_obj is not None:
             tel_obj.finalize(self, result)
@@ -349,15 +326,16 @@ class Machine(InlineState):
         return "\n".join(lines)
 
     def metrics(self) -> Dict[str, float]:
-        """Flat ``{component.stat: value}`` dump of every StatGroup.
+        """Flat ``{component.stat: value}`` dump of every component's
+        :meth:`~repro.engine.simulator.Component.metrics`.
 
         The full raw counter set behind :meth:`result` -- what
-        ``repro run --metrics-out`` writes.  Reading flushes every
-        set_sync stat, which is idempotent by contract.
+        ``repro run --metrics-out`` writes.  It is built from the live
+        counters, so reading it mid-run changes nothing.
         """
         out: Dict[str, float] = {}
         for component in self.sim.components:
-            for key, value in component.stats.as_dict().items():
+            for key, value in component.metrics().items():
                 out[f"{component.name}.{key}"] = value
         return out
 

@@ -52,7 +52,8 @@ def make_heartbeat(
 
     ``progress`` is a campaign progress-event info dict
     (``completed``/``outstanding``/``total``); ``cache_counts`` the
-    transportable :func:`repro.harness.runner.cache_counts` sections.
+    runner's own cache work, in the transportable sections of
+    :func:`repro.harness.runner.cache_counts`.
     ``obs_counters`` are cumulative runner-process observability
     counters (backoff retries, batch wall-clock seconds, batches done)
     that the broker re-exports per runner on ``/metrics``.

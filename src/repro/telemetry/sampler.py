@@ -2,10 +2,9 @@
 
 A self-rescheduling simulator event snapshots a fixed probe set every
 ``sample_every`` cycles.  The probes are strictly read-only: plain
-attribute reads, ``len()`` of live structures, and reads that go through
-:meth:`repro.common.stats.StatGroup` accessors -- whose ``set_sync``
-flush is idempotent by contract, so observing a run mid-flight cannot
-change where it ends up (pinned by the telemetry golden tests).
+attribute reads of the components' live counters and ``len()`` of live
+structures, so observing a run mid-flight cannot change where it ends
+up (pinned by the telemetry golden tests).
 
 Termination: the tick only reschedules itself while *other* events are
 pending.  Events are only created by events, so an empty queue during
@@ -112,8 +111,8 @@ class Sampler:
                 free += len(b._free)
                 queued += len(b._cmd_waiters)
                 in_use += b.buffers.in_use
-                hits += b.stats.get("data_hits").value
-                misses += b.stats.get("data_misses").value
+                hits += b.data_hits
+                misses += b.data_misses
             sample["active_copies"] = active
             sample["free_pcshrs"] = free
             sample["queued_copy_cmds"] = queued
@@ -129,11 +128,7 @@ class Sampler:
         if data_manager is not None and hasattr(data_manager, "_busy_fills"):
             sample["active_copies"] = len(data_manager._busy_fills)
 
-        # DC access time through the StatGroup read path (exercises the
-        # set_sync flush mid-run -- idempotent by contract).
-        if hasattr(scheme, "stats") and "dc_access_time" in scheme.stats:
-            mean = scheme.stats.get("dc_access_time")
-            sample["dc_access_time_mean"] = mean.mean
+        sample["dc_access_time_mean"] = scheme.dc_access_time_mean()
 
         for label in ("hbm", "ddr"):
             device = getattr(scheme, label, None)

@@ -170,5 +170,5 @@ def test_llc_counters(sim, tiny_cfg):
     h.access(load(0, 0x1000), 0, lambda t: None)
     sim.run()
     h.access(load(0, 0x1000), 1000, lambda t: None)
-    assert h.stats.get("llc_misses").value == 1
-    assert h.stats.get("llc_accesses").value == 1
+    assert h.metrics()["llc_misses"] == 1
+    assert h.metrics()["llc_accesses"] == 1

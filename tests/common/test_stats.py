@@ -1,173 +1,93 @@
-"""Statistics primitives."""
+"""Statistics helpers: running means, the DC access-time histogram, and
+the report keys they render."""
 
 import pytest
 
-from repro.common.stats import (
-    BandwidthMeter,
-    Counter,
-    Histogram,
-    RunningMean,
-    StatGroup,
-)
-from repro.common.types import TrafficClass
+from repro.common.stats import Mean, histogram_stats, mean_stats, percentile
+from repro.schemes.baseline import BaselineScheme
 
 
-def test_counter_increments():
-    c = Counter("x")
-    c.inc()
-    c.inc(5)
-    assert c.value == 6
-
-
-def test_counter_reset():
-    c = Counter("x")
-    c.inc(3)
-    c.reset()
-    assert c.value == 0
+def _dc_buckets(sim, cfg, samples):
+    """The power-of-two histogram a scheme records for DC access times
+    of *samples* cycles."""
+    scheme = BaselineScheme(sim, cfg)
+    for latency in samples:
+        scheme._record_dc_access(0, latency)
+    return scheme._dc_times.buckets
 
 
 def test_running_mean_empty():
-    m = RunningMean("m")
+    m = Mean()
     assert m.mean == 0.0
-    assert m.min is None and m.max is None
+    assert m.count == 0 and m.max is None
 
 
-def test_running_mean_tracks_min_max():
-    m = RunningMean("m")
+def test_running_mean_tracks_max():
+    m = Mean()
     for v in (5, 1, 9):
         m.add(v)
     assert m.mean == 5.0
-    assert m.min == 1
     assert m.max == 9
     assert m.count == 3
+    assert m.total == 15
 
 
-def test_histogram_power_of_two_buckets():
-    h = Histogram("h")
-    h.add(1)
-    h.add(3)
-    h.add(5)
-    assert h.buckets[1] == 1
-    assert h.buckets[2] == 1
-    assert h.buckets[4] == 1
+def test_histogram_power_of_two_buckets(sim, tiny_cfg):
+    assert _dc_buckets(sim, tiny_cfg, (1, 3, 5)) == {1: 1, 2: 1, 4: 1}
 
 
-def test_histogram_linear_buckets():
-    h = Histogram("h", bucket_width=10)
-    h.add(5)
-    h.add(15)
-    h.add(19)
-    assert h.buckets[0] == 1
-    assert h.buckets[10] == 2
-
-
-def test_histogram_mean_and_percentile():
-    h = Histogram("h", bucket_width=1)
+def test_histogram_mean_and_percentile(sim, tiny_cfg):
+    scheme = BaselineScheme(sim, tiny_cfg)
     for v in range(1, 101):
-        h.add(v)
-    assert h.mean == pytest.approx(50.5)
-    assert 45 <= h.percentile(50) <= 55
-    assert h.percentile(100) == 100
+        scheme._record_dc_access(0, v)
+    metrics = scheme.metrics()
+    assert metrics["dc_access_time_hist.mean"] == pytest.approx(50.5)
+    assert metrics["dc_access_time.mean"] == pytest.approx(50.5)
+    assert metrics["dc_reads"] == 100
+    # 1..100 fill buckets 1, 2, 4, ..., 32 (63 samples) and 64 (37).
+    assert scheme.dc_access_time_percentile(50) == 32
+    assert scheme.dc_access_time_percentile(100) == 64
 
 
-def test_histogram_zero_sample():
-    h = Histogram("h")
-    h.add(0)
-    assert h.buckets[0] == 1
+def test_histogram_zero_sample(sim, tiny_cfg):
+    assert _dc_buckets(sim, tiny_cfg, (0,)) == {0: 1}
 
 
 def test_histogram_percentile_empty():
-    assert Histogram("h").percentile(95) == 0
+    assert percentile({}, 95) == 0
 
 
-def test_histogram_percentile_single_bucket():
-    h = Histogram("h", bucket_width=10)
-    for _ in range(5):
-        h.add(12)
-    assert h.percentile(50) == 10
-    assert h.percentile(99) == 10
+def test_histogram_percentile_single_bucket(sim, tiny_cfg):
+    buckets = _dc_buckets(sim, tiny_cfg, (12,) * 5)
+    assert percentile(buckets, 50) == 8
+    assert percentile(buckets, 99) == 8
 
 
-def test_histogram_percentiles_are_monotonic():
-    h = Histogram("h", bucket_width=1)
-    for v in range(1, 1001):
-        h.add(v)
-    p50, p95, p99 = h.percentile(50), h.percentile(95), h.percentile(99)
+def test_histogram_percentiles_are_monotonic(sim, tiny_cfg):
+    buckets = _dc_buckets(sim, tiny_cfg, range(1, 1001))
+    p50, p95, p99 = (percentile(buckets, p) for p in (50, 95, 99))
     assert p50 <= p95 <= p99
-    assert 490 <= p50 <= 510
-    assert 940 <= p95 <= 960
-    assert 980 <= p99 <= 1000
+    # 511 samples sit below 512, the other 489 in bucket 512.
+    assert (p50, p95, p99) == (256, 512, 512)
 
 
-def test_bandwidth_meter_records_by_class():
-    bw = BandwidthMeter("bw")
-    bw.record(TrafficClass.DEMAND, 64)
-    bw.record(TrafficClass.FILL, 128)
-    assert bw.total_bytes == 192
-    assert bw.bytes_by_class[TrafficClass.FILL] == 128
+def test_mean_stats_keys():
+    assert mean_stats("lat", 2, 30, 20) == {
+        "lat.mean": 15.0, "lat.count": 2, "lat.max": 20,
+    }
+    assert mean_stats("lat", 0, 0, None) == {
+        "lat.mean": 0.0, "lat.count": 0, "lat.max": None,
+    }
 
 
-def test_bandwidth_meter_gbps():
-    bw = BandwidthMeter("bw")
-    bw.record(TrafficClass.DEMAND, 10**9)
-    # 1 GB over 1 second of cycles at 1 GHz -> 1 GB/s.
-    assert bw.gbps(elapsed_cycles=10**9, cycles_per_second=1e9) == pytest.approx(1.0)
-
-
-def test_bandwidth_meter_breakdown_sums_to_one():
-    bw = BandwidthMeter("bw")
-    bw.record(TrafficClass.DEMAND, 75)
-    bw.record(TrafficClass.METADATA, 25)
-    frac = bw.breakdown()
-    assert frac["DEMAND"] == pytest.approx(0.75)
-    assert sum(frac.values()) == pytest.approx(1.0)
-
-
-def test_bandwidth_meter_zero_elapsed():
-    bw = BandwidthMeter("bw")
-    assert bw.gbps(0, 1e9) == 0.0
-
-
-def test_stat_group_creates_and_caches():
-    g = StatGroup("g")
-    c1 = g.counter("hits")
-    c2 = g.counter("hits")
-    assert c1 is c2
-
-
-def test_stat_group_type_conflict():
-    g = StatGroup("g")
-    g.counter("x")
-    with pytest.raises(TypeError):
-        g.mean("x")
-
-
-def test_stat_group_as_dict():
-    g = StatGroup("g")
-    g.counter("hits").inc(3)
-    g.mean("lat").add(10)
-    d = g.as_dict()
-    assert d["hits"] == 3
-    assert d["lat.mean"] == 10
-    assert d["lat.count"] == 1
-
-
-def test_stat_group_as_dict_histogram_percentiles():
-    g = StatGroup("g")
-    h = g.histogram("lat", bucket_width=1)
-    for v in range(1, 101):
-        h.add(v)
-    d = g.as_dict()
+def test_histogram_stats_keys():
+    buckets = {1: 1, 2: 2, 4: 4, 8: 8, 16: 16, 32: 32, 64: 37}
+    d = histogram_stats("lat", buckets, 5050)
     assert d["lat.count"] == 100
     assert d["lat.mean"] == pytest.approx(50.5)
-    assert d["lat.p50"] == h.percentile(50)
-    assert d["lat.p95"] == h.percentile(95)
-    assert d["lat.p99"] == h.percentile(99)
+    assert d["lat.p50"] == percentile(buckets, 50)
+    assert d["lat.p95"] == percentile(buckets, 95)
+    assert d["lat.p99"] == percentile(buckets, 99)
     assert d["lat.p50"] <= d["lat.p95"] <= d["lat.p99"]
-
-
-def test_stat_group_contains():
-    g = StatGroup("g")
-    g.counter("a")
-    assert "a" in g
-    assert "b" not in g
+    assert list(d) == ["lat.mean", "lat.count", "lat.p50", "lat.p95",
+                       "lat.p99"]

@@ -1,47 +1,28 @@
-"""Histogram percentile edges and stat-group histogram reuse."""
+"""Percentile edges of the power-of-two latency histogram."""
 
-import pytest
-
-from repro.common.stats import Histogram, StatGroup
+from repro.common.stats import percentile
+from repro.schemes.baseline import BaselineScheme
 
 
 def test_percentile_empty():
-    h = Histogram("h")
-    assert h.percentile(50) == 0
+    assert percentile({}, 50) == 0
 
 
 def test_percentile_single_value():
-    h = Histogram("h", bucket_width=1)
-    h.add(42)
-    assert h.percentile(0) == 42
-    assert h.percentile(100) == 42
+    buckets = {32: 1}  # one sample of 42 cycles
+    assert percentile(buckets, 0) == 32
+    assert percentile(buckets, 100) == 32
 
 
 def test_percentile_monotone():
-    h = Histogram("h")
-    for v in (1, 2, 4, 8, 16, 300, 5000):
-        h.add(v)
-    ps = [h.percentile(p) for p in (10, 50, 90, 99)]
+    # Samples 1, 2, 4, 8, 16, 300, 5000.
+    buckets = {1: 1, 2: 1, 4: 1, 8: 1, 16: 1, 256: 1, 4096: 1}
+    ps = [percentile(buckets, p) for p in (10, 50, 90, 99)]
     assert ps == sorted(ps)
 
 
-def test_power_of_two_bucket_bounds():
-    h = Histogram("h")
-    h.add(1023)
-    h.add(1024)
-    assert h.buckets[512] == 1
-    assert h.buckets[1024] == 1
-
-
-def test_stat_group_histogram_cached():
-    g = StatGroup("g")
-    a = g.histogram("lat")
-    b = g.histogram("lat")
-    assert a is b
-
-
-def test_stat_group_histogram_type_conflict():
-    g = StatGroup("g")
-    g.counter("x")
-    with pytest.raises(TypeError):
-        g.histogram("x")
+def test_power_of_two_bucket_bounds(sim, tiny_cfg):
+    scheme = BaselineScheme(sim, tiny_cfg)
+    scheme._record_dc_access(0, 1023)
+    scheme._record_dc_access(0, 1024)
+    assert scheme._dc_times.buckets == {512: 1, 1024: 1}

@@ -59,9 +59,9 @@ def test_command_wait_recorded(sim):
     be.fill(1, 2, 0, lambda: None, lambda t: None)
     be.fill(3, 4, 0, lambda: None, lambda t: None)
     sim.run()
-    wait = be.stats.get("command_wait")
-    assert wait.count == 2
-    assert wait.max > 0
+    metrics = be.metrics()
+    assert metrics["command_wait.count"] == 2
+    assert metrics["command_wait.max"] > 0
 
 
 def test_same_cfn_command_defers(sim):
@@ -101,7 +101,7 @@ def test_read_data_miss_waits_for_arrival(sim):
     assert not done
     sim.run()
     assert done
-    assert be.stats.get("sub_entry_waits").value == 1
+    assert be.metrics()["sub_entry_waits"] == 1
 
 
 def test_read_data_miss_buffer_hit(sim):
@@ -117,7 +117,7 @@ def test_read_data_miss_buffer_hit(sim):
     sim.schedule_at(arrival + 1, later)
     sim.run()
     assert done
-    assert be.stats.get("buffer_hits").value == 1
+    assert be.metrics()["buffer_hits"] == 1
 
 
 def test_critical_data_first_earliest_arrival(sim):
@@ -142,7 +142,7 @@ def test_write_data_miss_merges_into_buffer(sim):
     t = be.write_data_miss(pcshr, 50)
     assert t >= sim.now
     assert pcshr.sub_block_in_buffer(50, now=sim.now)
-    assert be.stats.get("buffer_write_merges").value == 1
+    assert be.metrics()["buffer_write_merges"] == 1
 
 
 def test_buffer_hit_ratio_counts_merges(sim):
@@ -189,13 +189,13 @@ def test_serve_from_copy_buffer_ablation(sim):
     be.read_data_miss(pcshr, 0, done.append)
     sim.run()
     assert done
-    assert be.stats.get("buffer_hits").value == 0
+    assert be.metrics()["buffer_hits"] == 0
 
 
 def test_fill_and_writeback_counters(sim):
     be, _, _ = make_backend(sim, num_pcshrs=8)
     be.fill(1, 2, 0, lambda: None, lambda t: None)
     be.writeback(3, 4, on_offloaded=lambda: None)
-    assert be.stats.get("fill_commands").value == 1
-    assert be.stats.get("writeback_commands").value == 1
+    assert be.metrics()["fill_commands"] == 1
+    assert be.metrics()["writeback_commands"] == 1
     sim.run()

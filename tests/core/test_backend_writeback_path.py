@@ -64,8 +64,8 @@ def test_backend_full_lifecycle_counts(sim):
         else:
             be.fill(cfn, 100 + cfn, 0, lambda: None, lambda t: None)
     sim.run()
-    assert be.stats.get("fill_commands").value == 3
-    assert be.stats.get("writeback_commands").value == 3
+    assert be.metrics()["fill_commands"] == 3
+    assert be.metrics()["writeback_commands"] == 3
     assert ddr.bytes_by_class()[TrafficClass.FILL] == 3 * 4096
     assert ddr.bytes_by_class()[TrafficClass.WRITEBACK] == 3 * 4096
     assert be.outstanding_copies == 0

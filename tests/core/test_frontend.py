@@ -92,7 +92,7 @@ def test_tag_latency_includes_base_cost(sim):
     w = World(sim, tag_latency=400)
     w.fault(sim, 0, 1, lambda t: None)
     sim.run()
-    assert w.fe.stats.get("tag_mgmt_latency").mean >= 400
+    assert w.fe.metrics()["tag_mgmt_latency.mean"] >= 400
 
 
 def test_mutex_serializes_handlers(sim):
@@ -127,7 +127,7 @@ def test_daemon_triggers_below_threshold(sim):
     for vpn in range(6):
         w.fault(sim, 0, vpn, lambda t: None)
         sim.run()
-    assert w.fe.stats.get("evictions").value > 0
+    assert w.fe.metrics()["evictions"] > 0
 
 
 def test_eviction_restores_pte(sim):
@@ -150,7 +150,7 @@ def test_eviction_skips_tlb_resident(sim):
         w.fault(sim, 0, vpn, lambda t: None)
         sim.run()
     assert w.cached(0, 0), "TLB-resident frame must not be evicted"
-    assert w.fe.stats.get("eviction_tlb_skips").value > 0
+    assert w.fe.metrics()["eviction_tlb_skips"] > 0
 
 
 def test_eviction_skips_busy_fills(sim):
@@ -162,7 +162,7 @@ def test_eviction_skips_busy_fills(sim):
         w.fault(sim, 0, vpn, lambda t: None)
         sim.run()
     assert w.cached(0, 0)
-    assert w.fe.stats.get("eviction_busy_skips").value > 0
+    assert w.fe.metrics()["eviction_busy_skips"] > 0
 
 
 def test_dirty_frame_writes_back(sim):
@@ -187,7 +187,7 @@ def test_handler_waits_for_free_frame(sim):
     w.fault(sim, 0, 99, done.append)
     sim.run()
     assert done, "handler must eventually get a frame via forced shootdown"
-    assert w.fe.stats.get("forced_shootdowns").value >= 1
+    assert w.fe.metrics()["forced_shootdowns"] >= 1
 
 
 def test_shared_page_updates_all_mappings(sim):
@@ -212,7 +212,7 @@ def test_warm_fill_zero_cost(sim):
     assert w.cached(0, 3)
     assert w.fe.cpds.dirty_in_cache[w.frame(0, 3)]
     assert sim.now == 0
-    assert w.fe.stats.get("fills").value == 0  # not a timed fill
+    assert w.fe.metrics()["fills"] == 0  # not a timed fill
 
 
 def test_warm_fill_evicts_when_needed(sim):

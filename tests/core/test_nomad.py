@@ -70,7 +70,7 @@ def test_data_hit_goes_to_hbm(tiny_cfg):
     scheme.dc_access(access, done.append)
     sim.run()
     assert done
-    assert scheme.backend.stats.get("data_hits").value == 1
+    assert scheme.backend.metrics()["data_hits"] == 1
 
 
 def test_data_miss_during_transfer(tiny_cfg):
@@ -86,7 +86,7 @@ def test_data_miss_during_transfer(tiny_cfg):
     scheme.dc_access(access, done.append)
     sim.run()
     assert done
-    assert scheme.backend.stats.get("data_misses").value == 1
+    assert scheme.backend.metrics()["data_misses"] == 1
 
 
 def test_write_data_miss_marks_dirty(tiny_cfg):
@@ -114,7 +114,7 @@ def test_uncacheable_pages_use_ddr(tiny_cfg):
     scheme.dc_access(access, done.append)
     sim.run()
     assert done
-    assert scheme.stats.get("uncached_accesses").value == 1
+    assert scheme.metrics()["uncached_accesses"] == 1
 
 
 def test_needs_os_intervention_only_for_tag_miss(tiny_cfg):

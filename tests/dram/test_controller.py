@@ -51,9 +51,9 @@ def test_row_hit_accounting(sim):
     dev.access(_addr(0, 7), False, TrafficClass.DEMAND)
     dev.access(_addr(0, 8), False, TrafficClass.DEMAND)
     ch = dev.channels[0]
-    assert ch.stats.get("row_hits").value == 1
-    assert ch.stats.get("row_closed").value == 1
-    assert ch.stats.get("row_conflicts").value == 1
+    assert ch.metrics()["row_hits"] == 1
+    assert ch.metrics()["row_closed"] == 1
+    assert ch.metrics()["row_conflicts"] == 1
     assert ch.row_hit_rate == pytest.approx(1 / 3)
 
 
@@ -62,8 +62,8 @@ def test_read_write_counters(sim):
     dev.access(_addr(0, 0), False, TrafficClass.DEMAND)
     dev.access(_addr(0, 0), True, TrafficClass.FILL)
     ch = dev.channels[0]
-    assert ch.stats.get("reads").value == 1
-    assert ch.stats.get("writes").value == 1
+    assert ch.metrics()["reads"] == 1
+    assert ch.metrics()["writes"] == 1
 
 
 def test_bytes_by_traffic_class(sim):
@@ -71,9 +71,10 @@ def test_bytes_by_traffic_class(sim):
     dev.access(_addr(0, 0), False, TrafficClass.METADATA)
     dev.access(_addr(0, 0), False, TrafficClass.METADATA)
     dev.access(_addr(0, 0), True, TrafficClass.WRITEBACK)
-    bw = dev.channels[0].stats.get("bytes")
-    assert bw.bytes_by_class[TrafficClass.METADATA] == 128
-    assert bw.bytes_by_class[TrafficClass.WRITEBACK] == 64
+    metrics = dev.channels[0].metrics()
+    assert metrics["bytes.METADATA"] == 128
+    assert metrics["bytes.WRITEBACK"] == 64
+    assert metrics["bytes.total_bytes"] == 192
 
 
 def test_saturation_grows_latency(sim):
@@ -88,6 +89,6 @@ def test_latency_stat_tracks_queueing(sim):
     dev = make(sim)
     for _ in range(10):
         dev.access(_addr(0, 0), False, TrafficClass.DEMAND)
-    lat = dev.channels[0].stats.get("burst_latency")
-    assert lat.count == 10
-    assert lat.max > lat.min
+    metrics = dev.channels[0].metrics()
+    assert metrics["burst_latency.count"] == 10
+    assert metrics["burst_latency.max"] > metrics["burst_latency.mean"]

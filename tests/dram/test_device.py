@@ -14,14 +14,14 @@ def make(sim, cfg=HBM2):
 def test_access_routes_to_decoded_channel(sim):
     dev = make(sim)
     dev.access(64, False, TrafficClass.DEMAND)  # burst 1 -> channel 1
-    assert dev.channels[1].stats.get("reads").value == 1
-    assert dev.channels[0].stats.get("reads").value == 0
+    assert dev.channels[1].metrics()["reads"] == 1
+    assert dev.channels[0].metrics()["reads"] == 0
 
 
 def test_transfer_issues_one_burst_per_sub_block(sim):
     dev = make(sim)
     dev.transfer(0, range(64), False, TrafficClass.FILL)
-    total = sum(ch.stats.get("reads").value for ch in dev.channels)
+    total = sum(ch.metrics()["reads"] for ch in dev.channels)
     assert total == 64
 
 
@@ -83,4 +83,4 @@ def test_bandwidth_gbps(sim):
 def test_accesses_counter(sim):
     dev = make(sim)
     dev.transfer(0, range(4), False, TrafficClass.DEMAND)
-    assert dev.stats.get("accesses").value == 4
+    assert dev.metrics()["accesses"] == 4

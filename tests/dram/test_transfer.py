@@ -41,18 +41,15 @@ def _op(draw):
 
 def _check_counters(dev, ref):
     for ch, rch in zip(dev.channels, ref.channels):
-        stats = ch.stats
-        assert stats.get("row_hits").value == rch.outcomes["hit"]
-        assert stats.get("row_closed").value == rch.outcomes["closed"]
-        assert stats.get("row_conflicts").value == rch.outcomes["conflict"]
-        assert stats.get("reads").value == rch.reads
-        assert stats.get("writes").value == rch.writes
-        assert stats.get("bytes").bytes_by_class == rch.bytes_by_class
-        lat = stats.get("burst_latency")
-        assert lat.count == len(rch.latencies)
-        assert lat.total == sum(rch.latencies)
-        assert lat.min == (min(rch.latencies) if rch.latencies else None)
-        assert lat.max == (max(rch.latencies) if rch.latencies else None)
+        assert ch.row_hits == rch.outcomes["hit"]
+        assert ch.row_closed == rch.outcomes["closed"]
+        assert ch.row_conflicts == rch.outcomes["conflict"]
+        assert ch.reads == rch.reads
+        assert ch.writes == rch.writes
+        assert ch.bytes_by_class == rch.bytes_by_class
+        assert ch._lat_count == len(rch.latencies)
+        assert ch._lat_total == sum(rch.latencies)
+        assert ch._lat_max == (max(rch.latencies) if rch.latencies else None)
         assert ch.bus_free_at == rch.bus_free_at
         for bank, rbank in zip(ch.banks, rch.banks):
             assert (bank.open_row, bank.ready_at, bank.activated_at) == \
@@ -83,7 +80,7 @@ def test_transfer_and_access_match_the_reference(cfg, ops):
             assert ends == expected
             bursts += len(subs)
     _check_counters(dev, ref)
-    assert dev.stats.get("accesses").value == bursts
+    assert dev.metrics()["accesses"] == bursts
 
 
 def test_transfer_schedules_no_events(sim):

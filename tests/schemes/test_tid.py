@@ -84,7 +84,7 @@ def test_hit_after_fill(tiny_cfg):
     sim.run()
     s.dc_access(load(0x4000), lambda t: None)
     sim.run()
-    assert s.stats.get("dc_hits").value == 1
+    assert s.metrics()["dc_hits"] == 1
     assert s.dc_hit_rate() == pytest.approx(0.5)
 
 
@@ -95,7 +95,7 @@ def test_mshr_merge_same_line(tiny_cfg):
     s.dc_access(load(0x4040), done.append)  # same 1 KB line
     sim.run()
     assert len(done) == 2
-    assert s.stats.get("line_fills").value == 1
+    assert s.metrics()["line_fills"] == 1
 
 
 def test_critical_word_first(tiny_cfg):
@@ -116,7 +116,7 @@ def test_dirty_victim_writes_back(tiny_cfg):
     for i in range(ways + 1):
         s.dc_access(load((i * sets) * 1024, w=True), lambda t: None)
         sim.run()
-    assert s.stats.get("line_writebacks").value >= 1
+    assert s.metrics()["line_writebacks"] >= 1
     assert s.ddr.bytes_by_class().get(TrafficClass.WRITEBACK, 0) >= 1024
 
 

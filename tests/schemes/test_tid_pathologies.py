@@ -25,7 +25,7 @@ def test_conflict_misses_despite_spare_capacity(tiny_cfg):
             acc = MemAccess(addr=addr, is_write=False, core_id=0, paddr=addr)
             s.dc_access(acc, lambda t: None)
             sim.run()
-    assert s.stats.get("line_fills").value > ways + 1  # refetched lines
+    assert s.metrics()["line_fills"] > ways + 1  # refetched lines
     assert s.dc_hit_rate() < 0.5
 
 

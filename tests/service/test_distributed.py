@@ -370,6 +370,53 @@ def test_runner_threads_each_report_only_their_own_cache_work(
     assert campaign.summary.cache_counts() == moved
 
 
+def test_runner_heartbeats_carry_only_their_own_cache_work(
+        tmp_path, monkeypatch):
+    # Same two-thread setup, one batch per runner: the broker keeps each
+    # runner's last heartbeat, and those must add up to how far the
+    # process totals moved instead of each repeating the other's work.
+    from repro.harness.runner import (
+        cache_counts, cache_delta, clear_snapshot_cache, merge_cache_counts,
+    )
+    from repro.service import runner as service_runner
+    from repro.workloads.synthetic import clear_trace_cache
+
+    barrier = threading.Barrier(2, timeout=30)
+    execute = service_runner.execute_batch
+
+    def together(*args, **kwargs):
+        barrier.wait()
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(service_runner, "execute_batch", together)
+    clear_snapshot_cache()
+    clear_trace_cache()
+    configs = [BASE.with_(scheme=scheme, seed=s)
+               for scheme in ("tdc", "nomad") for s in (1, 2, 3, 4)]
+    before = cache_counts()
+    store = ResultStore(tmp_path / "store")
+    broker = Broker(store.root, lease_s=30.0)
+    with BrokerServer(broker) as server:
+        threads = _start_runners(server.url, count=2, max_batches=1)
+        campaign = run_distributed_campaign(
+            configs, server.url, store, jobs=2, max_wait_s=120.0,
+            progress=False,
+        )
+        for t in threads:
+            t.join(timeout=30)
+    assert campaign.ok
+    assert not any(t.is_alive() for t in threads)
+    moved = cache_delta(before, cache_counts())
+    reported = {}
+    for rid in ("t0", "t1"):
+        heartbeat = broker._runners[rid].stats["cache"]
+        # Each runner did one batch: one build and three forks.
+        assert (heartbeat["snapshot"]["misses"],
+                heartbeat["snapshot"]["hits"]) == (1, 3)
+        merge_cache_counts(reported, heartbeat)
+    assert reported == moved
+
+
 def test_resume_unknown_campaign_fails_loudly(tmp_path):
     store = ResultStore(tmp_path / "store")
     broker = Broker(store.root)

@@ -111,13 +111,16 @@ def test_restore_refuses_other_version():
 
 
 def test_restore_refuses_blobs_from_before_the_flat_vm_layout():
-    """Version 4 pickles page tables and CPDs as flat columns; a blob
-    stamped 3 holds per-page objects and must be rebuilt, not forked."""
-    assert SNAPSHOT_VERSION == 4
+    """Version 5 pickles page tables and CPDs as flat columns and
+    components with plain-int counters; a blob stamped 3 holds per-page
+    objects and one stamped 4 stat objects, so both must be rebuilt,
+    not forked."""
+    assert SNAPSHOT_VERSION == 5
     payload = pickle.loads(_build("nomad").snapshot())
-    payload["version"] = 3
-    with pytest.raises(SnapshotError, match="version 3"):
-        Machine.restore(pickle.dumps(payload))
+    for old in (3, 4):
+        payload["version"] = old
+        with pytest.raises(SnapshotError, match=f"version {old}"):
+            Machine.restore(pickle.dumps(payload))
 
 
 def _restore_footprint(scheme, dc_mb):

@@ -49,8 +49,8 @@ def test_copy_spans_reconstruct_backend_counters(nomad_run):
     result, machine, tel = nomad_run
     backend = machine.scheme.backend
     backends = getattr(backend, "backends", None) or [backend]
-    fills = sum(b.stats.get("fill_commands").value for b in backends)
-    wbs = sum(b.stats.get("writeback_commands").value for b in backends)
+    fills = sum(b.metrics()["fill_commands"] for b in backends)
+    wbs = sum(b.metrics()["writeback_commands"] for b in backends)
     assert fills > 0
     assert tel.tracer.span_counts.get("copy.fill") == fills
     assert tel.tracer.span_counts.get("copy.writeback", 0) == wbs

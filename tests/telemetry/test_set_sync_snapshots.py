@@ -1,43 +1,19 @@
-"""Mid-run stat snapshots must not change where a run ends up.
+"""Mid-run metric reads must not change where a run ends up.
 
-The sampler reads StatGroups while the simulation is in flight, which
-triggers every ``set_sync`` flush hook early and repeatedly.  The
-contract (``repro.common.stats``) is that the flush overwrites with
-totals rather than adding, so these tests pin idempotence at the unit
-level and end-to-end: a run interrupted for snapshots every few
-thousand events finishes bit-identical to an undisturbed one.
+The sampler and ``Machine.metrics()`` read component counters while the
+simulation is in flight.  Components build their metrics from live
+plain-int counters on every read, so a run interrupted for reads every
+few thousand events finishes bit-identical to an undisturbed one.
 """
 
-from repro.common.stats import StatGroup
 from repro.harness.runner import RunConfig, _build, clear_cache
 from repro.workloads.synthetic import clear_trace_cache
 
 
-def test_set_sync_flush_is_idempotent_under_repeated_reads():
-    class HotComponent:
-        def __init__(self):
-            self.stats = StatGroup("hot")
-            self.hits = 0  # plain-int hot-path accumulator
-            self.stats.set_sync(self._sync)
-
-        def _sync(self):
-            self.stats.counter("hits").value = self.hits  # overwrite
-
-    comp = HotComponent()
-    comp.hits += 3
-    assert comp.stats.as_dict() == {"hits": 3}
-    # Re-reading without new work must not double-count.
-    assert comp.stats.as_dict() == {"hits": 3}
-    assert comp.stats.get("hits").value == 3
-    comp.hits += 2
-    assert comp.stats.as_dict() == {"hits": 5}
-    assert "hits" in comp.stats  # __contains__ also flushes
-    assert comp.stats.as_dict() == {"hits": 5}
-
-
 def _run_machine(cfg, snapshot_every=None):
-    """Drive one machine to completion, optionally reading every stat
-    group between chunks of events; returns (result, final metrics)."""
+    """Drive one machine to completion, optionally reading every
+    component's metrics between chunks of events; returns (result, final
+    metrics)."""
     clear_cache()
     clear_trace_cache()
     machine = _build(cfg)
@@ -49,8 +25,8 @@ def _run_machine(cfg, snapshot_every=None):
         snapshots = 0
         while machine.sim.pending_events > 0:
             machine.sim.run(max_events=snapshot_every)
-            machine.metrics()  # flushes every set_sync hook
-            machine.scheme.stats.as_dict()
+            machine.metrics()
+            machine.result()
             snapshots += 1
         assert snapshots > 3, "run too small to exercise mid-run reads"
     return machine.result(), machine.metrics()

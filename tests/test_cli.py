@@ -194,7 +194,7 @@ def test_run_timeline_and_metrics_out(tmp_path, capsys):
     assert doc["samples"]
 
     flat = json.loads(metrics.read_text())
-    assert flat  # every component's StatGroup, flattened
+    assert flat  # every component's metrics(), flattened
     assert any(key.endswith(".p95") for key in flat)
     assert all(not isinstance(v, (dict, list)) for v in flat.values())
 
